@@ -287,7 +287,7 @@ class NnfCertChecker : CheckerBase {
 
   void CheckCnfImpliesCircuit() {
     if (HaveTrace()) {
-      if (!ReplayBranch(cert_.ddnnf.top, 0)) return;
+      if (!ReplayTrace(cert_.ddnnf.top)) return;
       if (!engine_f_->root_conflict() &&
           cert_.ddnnf.top.node != cert_.root) {
         report_.Add(Severity::kError, rules::kCertifyReplay, cert_.root,
@@ -321,91 +321,129 @@ class NnfCertChecker : CheckerBase {
     engine_f_->Pop();
   }
 
-  // Establishes branch `b` under the engine's current trail: verifies the
-  // claimed conflict, or replays each component and then asserts the branch
-  // node's gate after a successful RUP probe. Returns false only on a
-  // certification failure (already reported).
-  bool ReplayBranch(const CertBranch& b, uint32_t depth) {
-    if (!Charge()) return false;
-    if (depth > options_.max_replay_depth) {
-      report_.Add(Severity::kError, rules::kCertifyBudget, 0, "",
-                  "trace replay exceeded the recursion depth cap "
-                  "(cyclic component references?)");
+  // Establishes the trace's top branch under the engine's current trail.
+  // A branch is established by verifying its claimed conflict, or by
+  // replaying each component and then asserting the branch node's gate
+  // after a successful RUP probe; a component by replaying both decision
+  // sides in their own engine scope and lifting each to the decision node.
+  // Trace depth is the compiler's search depth, so the replay runs on an
+  // explicit stack. Returns false only on a certification failure (already
+  // reported).
+  bool ReplayTrace(const CertBranch& top) {
+    struct Frame {
+      const CertBranch* branch;  // a branch frame; null for a component
+      uint32_t comp;             // component frame: index into comps
+      size_t next;   // branch: next component; component: side (0 hi, 1 lo)
+      bool started;  // entry checks done
+      bool pushed;   // component: the current side's engine scope is open
+    };
+    std::vector<Frame> stack = {{&top, 0, 0, false, false}};
+    // A failure closes every side scope still open on the stack.
+    const auto fail = [&] {
+      for (const Frame& f : stack) {
+        if (f.pushed) engine_f_->Pop();
+      }
       return false;
-    }
-    if (b.conflict) {
-      if (!engine_f_->in_conflict()) {
-        report_.Add(Severity::kError, rules::kCertifyReplay, 0, "",
-                    "claimed conflict is not derivable by unit propagation");
+    };
+    const auto enter = [&] {
+      if (!Charge()) return false;
+      if (stack.size() - 1 > options_.max_replay_depth) {
+        report_.Add(Severity::kError, rules::kCertifyBudget, 0, "",
+                    "trace replay exceeded the depth cap "
+                    "(cyclic component references?)");
         return false;
       }
+      stack.back().started = true;
       return true;
-    }
-    if (engine_f_->in_conflict()) return true;  // stronger than claimed
-    for (uint32_t id : b.comps) {
-      if (!ReplayComp(id, depth + 1)) return false;
-      if (engine_f_->in_conflict()) return true;
-    }
-    const Lit n = cc_->LitOf(b.node);
-    if (!engine_f_->ProbeConflict({~n})) {
-      report_.Add(Severity::kError, rules::kCertifyReplay, b.node, "",
-                  "branch conjunction is not RUP-derivable");
-      return false;
-    }
-    engine_f_->AddScoped({n});
-    return true;
-  }
-
-  bool ReplayComp(uint32_t id, uint32_t depth) {
-    if (!Charge()) return false;
-    if (depth > options_.max_replay_depth) {
-      report_.Add(Severity::kError, rules::kCertifyBudget, 0, "",
-                  "trace replay exceeded the recursion depth cap "
-                  "(cyclic component references?)");
-      return false;
-    }
-    const CertComp& comp = cert_.ddnnf.comps[id];
-    const Var v = comp.decision;
-    if (v >= cert_.cnf.num_vars()) {
-      report_.Add(Severity::kError, rules::kCertifyFormat, comp.node,
-                  "var " + std::to_string(v + 1),
-                  "decision variable outside the CNF universe");
-      return false;
-    }
-    const Lit n = cc_->LitOf(comp.node);
-    const struct {
-      const CertBranch& branch;
-      Lit assume;
-    } sides[2] = {{comp.hi, Pos(v)}, {comp.lo, Neg(v)}};
-    for (const auto& side : sides) {
-      engine_f_->Push();
-      engine_f_->Assume(side.assume);
-      const bool replayed = ReplayBranch(side.branch, depth + 1);
-      bool established = false;
-      if (replayed && !engine_f_->in_conflict()) {
-        // The branch proved its own node; one more probe lifts that to the
-        // decision node (this is where "comp.node really is the decision
-        // gate over this branch" gets checked rather than trusted).
-        established = engine_f_->ProbeConflict({~n});
+    };
+    while (!stack.empty()) {
+      Frame& f = stack.back();
+      if (f.branch != nullptr) {
+        const CertBranch& b = *f.branch;
+        if (!f.started) {
+          if (!enter()) return fail();
+          if (b.conflict) {
+            if (!engine_f_->in_conflict()) {
+              report_.Add(Severity::kError, rules::kCertifyReplay, 0, "",
+                          "claimed conflict is not derivable by unit "
+                          "propagation");
+              return fail();
+            }
+            stack.pop_back();
+            continue;
+          }
+        }
+        if (engine_f_->in_conflict()) {  // stronger than claimed
+          stack.pop_back();
+          continue;
+        }
+        if (f.next < b.comps.size()) {
+          const uint32_t id = b.comps[f.next++];
+          stack.push_back({nullptr, id, 0, false, false});
+          continue;
+        }
+        const Lit n = cc_->LitOf(b.node);
+        if (!engine_f_->ProbeConflict({~n})) {
+          report_.Add(Severity::kError, rules::kCertifyReplay, b.node, "",
+                      "branch conjunction is not RUP-derivable");
+          return fail();
+        }
+        engine_f_->AddScoped({n});
+        stack.pop_back();
+        continue;
       }
-      const bool vacuous = engine_f_->in_conflict();
-      engine_f_->Pop();
-      if (!replayed) return false;
-      if (!established && !vacuous) {
-        report_.Add(Severity::kError, rules::kCertifyReplay, comp.node,
-                    "decision var " + std::to_string(v + 1),
-                    "decision branch does not derive the component node");
-        return false;
+      const CertComp& comp = cert_.ddnnf.comps[f.comp];
+      const Var v = comp.decision;
+      if (!f.started) {
+        if (!enter()) return fail();
+        if (v >= cert_.cnf.num_vars()) {
+          report_.Add(Severity::kError, rules::kCertifyFormat, comp.node,
+                      "var " + std::to_string(v + 1),
+                      "decision variable outside the CNF universe");
+          return fail();
+        }
       }
-      engine_f_->AddScoped({~side.assume, n});
+      const Lit n = cc_->LitOf(comp.node);
+      if (f.pushed) {
+        // Side `f.next` replayed its branch. One more probe lifts that to
+        // the decision node (this is where "comp.node really is the
+        // decision gate over this branch" gets checked rather than
+        // trusted).
+        const Lit assume = f.next == 0 ? Pos(v) : Neg(v);
+        bool established = false;
+        if (!engine_f_->in_conflict()) {
+          established = engine_f_->ProbeConflict({~n});
+        }
+        const bool vacuous = engine_f_->in_conflict();
+        engine_f_->Pop();
+        f.pushed = false;
+        if (!established && !vacuous) {
+          report_.Add(Severity::kError, rules::kCertifyReplay, comp.node,
+                      "decision var " + std::to_string(v + 1),
+                      "decision branch does not derive the component node");
+          return fail();
+        }
+        engine_f_->AddScoped({~assume, n});
+        ++f.next;
+      }
+      if (f.next < 2) {
+        const CertBranch* side = f.next == 0 ? &comp.hi : &comp.lo;
+        engine_f_->Push();
+        f.pushed = true;
+        engine_f_->Assume(f.next == 0 ? Pos(v) : Neg(v));
+        stack.push_back({side, 0, 0, false, false});  // invalidates `f`
+        continue;
+      }
+      if (!engine_f_->in_conflict()) {
+        if (!engine_f_->ProbeConflict({~n})) {
+          report_.Add(Severity::kError, rules::kCertifyReplay, comp.node, "",
+                      "decision merge is not RUP-derivable");
+          return fail();
+        }
+        engine_f_->AddScoped({n});
+      }
+      stack.pop_back();
     }
-    if (engine_f_->in_conflict()) return true;
-    if (!engine_f_->ProbeConflict({~n})) {
-      report_.Add(Severity::kError, rules::kCertifyReplay, comp.node, "",
-                  "decision merge is not RUP-derivable");
-      return false;
-    }
-    engine_f_->AddScoped({n});
     return true;
   }
 

@@ -1,13 +1,9 @@
 #include "compiler/ddnnf_compiler.h"
 
-#include <string>
 #include <utility>
 #include <vector>
 
-#include "base/check.h"
-#include "base/flat_table.h"
-#include "base/observability.h"
-#include "compiler/subproblem.h"
+#include "compiler/dpll_search.h"
 
 #ifdef TBC_VALIDATE
 #include "analysis/validate.h"
@@ -20,170 +16,74 @@ namespace tbc {
 
 namespace {
 
-using compiler_internal::BcpOutcome;
-using compiler_internal::CacheKey;
-using compiler_internal::Canonicalize;
 using compiler_internal::Clauses;
-using compiler_internal::ConditionClauses;
-using compiler_internal::PickBranchVar;
-using compiler_internal::Propagate;
-using compiler_internal::SplitComponents;
 
-class Compilation {
+// Keeps the search trace as a circuit: a clause set becomes the and-gate
+// of its implied literals and components, a decision becomes
+// (x ∧ hi) ∨ (¬x ∧ lo). With a DdnnfTrace attached it also records the
+// derivation the certificate checker replays (certify/checker.h): one
+// CertBranch per clause set — the BCP conflict, or the node plus the
+// CertComp records it conjoins — and one CertComp per cache miss, which a
+// cache hit re-references by index.
+class NnfSink {
  public:
-  Compilation(const DdnnfOptions& options, NnfManager& mgr, DdnnfStats& stats,
-              Guard& guard)
-      : options_(options), mgr_(mgr), stats_(stats), guard_(guard) {}
-
-#if TBC_CERTIFY_TRACE_ON
-  void set_trace(DdnnfTrace* trace) { trace_ = trace; }
-#endif
-
-  // When tracing, `branch` (non-null iff a trace is attached) receives this
-  // subproblem's derivation: the BCP conflict, or the result node plus the
-  // component records it conjoins.
-  Result<NnfId> CompileClauses(Clauses clauses
-#if TBC_CERTIFY_TRACE_ON
-                               ,
-                               CertBranch* branch = nullptr
-#endif
-  ) {
-    // No Canonicalize here: BCP closure and the component partition are
-    // insensitive to clause order and duplicates, and CompileComponent
-    // canonicalizes before keying the cache, so the result is identical.
-    std::vector<Lit> implied;
-    Clauses remaining;
-    if (Propagate(std::move(clauses), &implied, &remaining) ==
-        BcpOutcome::kConflict) {
-#if TBC_CERTIFY_TRACE_ON
-      if (branch != nullptr) branch->conflict = true;
-#endif
-      return mgr_.False();
-    }
+  struct Value {
+    NnfId node = kInvalidNnf;
+    uint32_t comp = 0;  // index into trace->comps (when tracing)
+  };
+  struct Branch {
     std::vector<NnfId> conjuncts;
-    for (Lit l : implied) conjuncts.push_back(mgr_.Literal(l));
-    if (!remaining.empty()) {
-      if (options_.use_components) {
-        std::vector<Clauses> components = SplitComponents(std::move(remaining));
-        if (components.size() > 1) {
-          ++stats_.components_split;
-          TBC_COUNT("ddnnf.components_split");
-        }
-        for (Clauses& comp : components) {
-#if TBC_CERTIFY_TRACE_ON
-          uint32_t comp_index = 0;
-          TBC_ASSIGN_OR_RETURN(
-              const NnfId sub,
-              CompileComponent(std::move(comp),
-                               branch != nullptr ? &comp_index : nullptr));
-          if (branch != nullptr) branch->comps.push_back(comp_index);
-#else
-          TBC_ASSIGN_OR_RETURN(const NnfId sub, CompileComponent(std::move(comp)));
-#endif
-          conjuncts.push_back(sub);
-        }
-      } else {
-#if TBC_CERTIFY_TRACE_ON
-        uint32_t comp_index = 0;
-        TBC_ASSIGN_OR_RETURN(
-            const NnfId sub,
-            CompileComponent(std::move(remaining),
-                             branch != nullptr ? &comp_index : nullptr));
-        if (branch != nullptr) branch->comps.push_back(comp_index);
-#else
-        TBC_ASSIGN_OR_RETURN(const NnfId sub,
-                             CompileComponent(std::move(remaining)));
-#endif
-        conjuncts.push_back(sub);
-      }
-    }
-    const NnfId result = mgr_.And(std::move(conjuncts));
-#if TBC_CERTIFY_TRACE_ON
-    if (branch != nullptr) branch->node = result;
-#endif
-    return result;
+    CertBranch cert;  // cert.node doubles as the closed branch's node
+  };
+  static constexpr compiler_internal::SearchCounterNames kCounters = {
+      "ddnnf.decisions", "ddnnf.cache_hits", "ddnnf.cache_misses",
+      "ddnnf.components_split"};
+
+  NnfSink(NnfManager& mgr, DdnnfTrace* trace) : mgr_(mgr), trace_(trace) {
+    if (tracing()) trace_->Clear();
+  }
+
+  void Open(Branch& b, const Clauses&, Var, const std::vector<Lit>& implied,
+            const Clauses&) {
+    b = Branch();
+    for (Lit l : implied) b.conjuncts.push_back(mgr_.Literal(l));
+  }
+  void Conflict(Branch& b) {
+    b = Branch();
+    b.cert.conflict = true;
+  }
+  void Multiply(Branch& b, const Value& v) {
+    b.conjuncts.push_back(v.node);
+    if (tracing()) b.cert.comps.push_back(v.comp);
+  }
+  void Close(Branch& b) {
+    if (!b.cert.conflict) b.cert.node = mgr_.And(std::move(b.conjuncts));
+  }
+  Value Decide(Var v, Branch& hi, Branch& lo) {
+    const NnfId node = mgr_.Decision(v, Node(hi), Node(lo));
+    if (!tracing()) return {node};
+    const auto index = static_cast<uint32_t>(trace_->comps.size());
+    trace_->comps.push_back(
+        CertComp{v, node, std::move(hi.cert), std::move(lo.cert)});
+    return {node, index};
+  }
+
+  NnfId Root(Branch& root) {
+    const NnfId node = Node(root);
+    if (tracing()) trace_->top = std::move(root.cert);
+    return node;
   }
 
  private:
-  // Compiles a single component (no unit clauses after propagation). When
-  // tracing, `comp_out` receives the index of this component's CertComp
-  // record (a cache hit re-references the original record).
-  Result<NnfId> CompileComponent(Clauses clauses
-#if TBC_CERTIFY_TRACE_ON
-                                 ,
-                                 uint32_t* comp_out = nullptr
-#endif
-  ) {
-    Canonicalize(clauses);
-    std::string key;
-    if (options_.use_cache) {
-      // Probe with a reusable buffer; only a miss pays for an owned copy
-      // (the copy must survive the recursion below, which reuses probe_).
-      compiler_internal::CacheKeyInto(clauses, &probe_);
-      if (const NnfId* hit = cache_.Find(probe_)) {
-        ++stats_.cache_hits;
-        TBC_COUNT("ddnnf.cache_hits");
-#if TBC_CERTIFY_TRACE_ON
-        if (comp_out != nullptr) {
-          const uint32_t* comp_hit = comp_cache_.Find(probe_);
-          TBC_DCHECK(comp_hit != nullptr);
-          *comp_out = *comp_hit;
-        }
-#endif
-        return *hit;
-      }
-      TBC_COUNT("ddnnf.cache_misses");
-      key = probe_;
-    }
-    ++stats_.decisions;
-    TBC_COUNT("ddnnf.decisions");
-    // One decision = one created decision node (plus the two literal
-    // nodes): charge both budgets here, at the head of the exponential
-    // recursion, so a trip surfaces within one decision's work.
-    TBC_RETURN_IF_ERROR(guard_.ChargeDecision());
-    TBC_RETURN_IF_ERROR(guard_.ChargeNodes(1));
-    const Var v = PickBranchVar(clauses);
-    TBC_DCHECK(v != kInvalidVar);
-#if TBC_CERTIFY_TRACE_ON
-    CertComp comp;
-    comp.decision = v;
-    TBC_ASSIGN_OR_RETURN(
-        const NnfId hi,
-        CompileClauses(ConditionClauses(clauses, Pos(v)),
-                       comp_out != nullptr ? &comp.hi : nullptr));
-    TBC_ASSIGN_OR_RETURN(
-        const NnfId lo,
-        CompileClauses(ConditionClauses(clauses, Neg(v)),
-                       comp_out != nullptr ? &comp.lo : nullptr));
-#else
-    TBC_ASSIGN_OR_RETURN(const NnfId hi,
-                         CompileClauses(ConditionClauses(clauses, Pos(v))));
-    TBC_ASSIGN_OR_RETURN(const NnfId lo,
-                         CompileClauses(ConditionClauses(clauses, Neg(v))));
-#endif
-    const NnfId result = mgr_.Decision(v, hi, lo);
-#if TBC_CERTIFY_TRACE_ON
-    if (comp_out != nullptr) {
-      comp.node = result;
-      *comp_out = static_cast<uint32_t>(trace_->comps.size());
-      trace_->comps.push_back(std::move(comp));
-      if (options_.use_cache) comp_cache_.Insert(key, *comp_out);
-    }
-#endif
-    if (options_.use_cache) cache_.Insert(key, result);
-    return result;
+  // With trace emission compiled out, every recording site folds away.
+  bool tracing() const { return TBC_CERTIFY_TRACE_ON && trace_ != nullptr; }
+  // A refuted branch keeps cert.node unset, as the trace format expects.
+  NnfId Node(const Branch& b) const {
+    return b.cert.conflict ? mgr_.False() : b.cert.node;
   }
 
-  const DdnnfOptions& options_;
   NnfManager& mgr_;
-  DdnnfStats& stats_;
-  Guard& guard_;
-  FlatMap<std::string, NnfId> cache_;
-  std::string probe_;
-#if TBC_CERTIFY_TRACE_ON
-  DdnnfTrace* trace_ = nullptr;
-  FlatMap<std::string, uint32_t> comp_cache_;  // cache_'s keys -> comp index
-#endif
+  DdnnfTrace* const trace_;
 };
 
 }  // namespace
@@ -200,8 +100,6 @@ Result<NnfId> DdnnfCompiler::CompileBounded(const Cnf& cnf, NnfManager& mgr,
   TBC_RETURN_IF_ERROR(guard.Check());
   Clauses clauses(cnf.clauses().begin(), cnf.clauses().end());
   compiler_internal::SortEachClause(clauses);  // invariant for Canonicalize
-  Compilation run(options_, mgr, stats_, guard);
-#if TBC_CERTIFY_TRACE_ON
 #ifdef TBC_CERTIFY
   // Certify-every-compile mode: record a trace even when the caller did not
   // attach one, so the checker replays the search instead of re-solving.
@@ -210,26 +108,21 @@ Result<NnfId> DdnnfCompiler::CompileBounded(const Cnf& cnf, NnfManager& mgr,
 #else
   DdnnfTrace* trace = trace_;
 #endif
-  if (trace != nullptr) {
-    trace->Clear();
-    run.set_trace(trace);
-  }
-  Result<NnfId> root = run.CompileClauses(
-      std::move(clauses), trace != nullptr ? &trace->top : nullptr);
-#else
-  Result<NnfId> root = run.CompileClauses(std::move(clauses));
-#endif
+  NnfSink sink(mgr, trace);
+  compiler_internal::DpllSearch<NnfSink> search(
+      sink, guard, options_.use_components, options_.use_cache);
+  auto branch = search.Run(std::move(clauses));
+  stats_.decisions = search.stats().decisions;
+  stats_.cache_hits = search.stats().cache_hits;
+  stats_.components_split = search.stats().components_split;
+  if (!branch.ok()) return branch.status();
+  const NnfId root = sink.Root(*branch);
 #ifdef TBC_VALIDATE
-  if (root.ok()) {
-    ValidateNnfOrDie(mgr, *root, NnfDialect::kDecisionDnnf, cnf.num_vars(),
-                     "DdnnfCompiler::CompileBounded");
-  }
+  ValidateNnfOrDie(mgr, root, NnfDialect::kDecisionDnnf, cnf.num_vars(),
+                   "DdnnfCompiler::CompileBounded");
 #endif
 #ifdef TBC_CERTIFY
-  if (root.ok()) {
-    CertifyDdnnfOrDie(cnf, mgr, *root, trace,
-                      "DdnnfCompiler::CompileBounded");
-  }
+  CertifyDdnnfOrDie(cnf, mgr, root, trace, "DdnnfCompiler::CompileBounded");
 #endif
   return root;
 }

@@ -67,9 +67,7 @@ class DdnnfCompiler {
  private:
   DdnnfOptions options_;
   DdnnfStats stats_;
-#if TBC_CERTIFY_TRACE_ON
-  DdnnfTrace* trace_ = nullptr;
-#endif
+  DdnnfTrace* trace_ = nullptr;  // settable only when tracing is compiled in
 };
 
 }  // namespace tbc

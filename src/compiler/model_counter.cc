@@ -1,142 +1,105 @@
 #include "compiler/model_counter.h"
 
-#include <string>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
-#include "base/check.h"
-#include "base/flat_table.h"
 #include "base/logspace.h"
-#include "base/observability.h"
-#include "compiler/subproblem.h"
+#include "base/scratch.h"
+#include "compiler/dpll_search.h"
 
 namespace tbc {
 
 namespace {
 
-using compiler_internal::BcpOutcome;
-using compiler_internal::CacheKey;
-using compiler_internal::Canonicalize;
 using compiler_internal::Clauses;
-using compiler_internal::ConditionClauses;
 using compiler_internal::CountVars;
-using compiler_internal::PickBranchVar;
-using compiler_internal::Propagate;
-using compiler_internal::SplitComponents;
+using compiler_internal::SearchCounterNames;
 
-// Exact counting: Count(clauses) is the model count over exactly the
-// variables appearing in `clauses`. Free variables that drop out along the
-// way are re-multiplied by the caller via 2^gap.
-class CountRun {
+constexpr SearchCounterNames kCounterNames = {
+    "counter.decisions", "counter.cache_hits", "counter.cache_misses",
+    nullptr};
+
+// Exact counting: a Branch is the model count of its clause set over the
+// scope's variables; those fixed by the decision or by BCP contribute
+// factor 1, those that vanished entirely are free (factor 2 each).
+class CountSink {
  public:
-  CountRun(ModelCounter::Stats& stats, Guard& guard)
-      : stats_(stats), guard_(guard) {}
+  using Value = BigUint;
+  using Branch = BigUint;
+  static constexpr SearchCounterNames kCounters = kCounterNames;
 
-  Result<BigUint> CountClauses(Clauses clauses) {
-    Canonicalize(clauses);
-    const size_t vars_before = CountVars(clauses);
-    std::vector<Lit> implied;
-    Clauses remaining;
-    if (Propagate(std::move(clauses), &implied, &remaining) ==
-        BcpOutcome::kConflict) {
-      return BigUint(0);
-    }
-    // Variables fixed by propagation contribute factor 1; variables that
-    // vanished entirely (satisfied clauses) are free.
-    const size_t vars_after = CountVars(remaining);
-    const unsigned freed = static_cast<unsigned>(vars_before - implied.size() -
-                                                 vars_after);
-    BigUint result = BigUint::PowerOfTwo(freed);
-    for (Clauses& comp : SplitComponents(std::move(remaining))) {
-      TBC_ASSIGN_OR_RETURN(const BigUint sub, CountComponent(std::move(comp)));
-      result *= sub;
-    }
-    return result;
+  explicit CountSink(size_t num_vars) : num_vars_(num_vars) {}
+
+  void Open(Branch& b, const Clauses& scope, Var decision,
+            const std::vector<Lit>& implied, const Clauses& remaining) {
+    const size_t scope_vars =
+        decision == kInvalidVar ? num_vars_ : CountVars(scope) - 1;
+    b = BigUint::PowerOfTwo(static_cast<unsigned>(
+        scope_vars - implied.size() - CountVars(remaining)));
+  }
+  void Conflict(Branch& b) { b = BigUint(0); }
+  void Multiply(Branch& b, const Value& v) { b *= v; }
+  void Close(Branch&) {}
+  Value Decide(Var, Branch& hi, Branch& lo) {
+    hi += lo;
+    return std::move(hi);
   }
 
  private:
-  Result<BigUint> CountComponent(Clauses clauses) {
-    Canonicalize(clauses);
-    const std::string key = CacheKey(clauses);
-    if (const BigUint* hit = cache_.Find(key)) {
-      ++stats_.cache_hits;
-      TBC_COUNT("counter.cache_hits");
-      return *hit;
-    }
-    TBC_COUNT("counter.cache_misses");
-    ++stats_.decisions;
-    TBC_COUNT("counter.decisions");
-    // Each decision adds one cache entry: charge it as a node so memory
-    // budgets bound the cache, and the decision so search budgets bound
-    // the exhaustive DPLL itself.
-    TBC_RETURN_IF_ERROR(guard_.ChargeDecision());
-    TBC_RETURN_IF_ERROR(guard_.ChargeNodes(1));
-    const Var v = PickBranchVar(clauses);
-    TBC_DCHECK(v != kInvalidVar);
-    const size_t nv = CountVars(clauses);
-    BigUint total(0);
-    for (bool sign : {false, true}) {
-      Clauses sub = ConditionClauses(clauses, Lit(v, sign));
-      const size_t sub_vars = CountVars(sub);
-      TBC_ASSIGN_OR_RETURN(BigUint c, CountClauses(std::move(sub)));
-      // The branch fixes v; variables of the component absent from the
-      // subproblem are free.
-      c *= BigUint::PowerOfTwo(static_cast<unsigned>(nv - 1 - sub_vars));
-      total += c;
-    }
-    cache_.Insert(key, total);
-    return total;
-  }
-
-  ModelCounter::Stats& stats_;
-  Guard& guard_;
-  FlatMap<std::string, BigUint> cache_;
+  const size_t num_vars_;
 };
 
-// Weighted variant; identical structure with per-literal weights. All
-// accumulation — including the component cache — is in ScaledDouble
-// (base/logspace.h): a chain of a few thousand 1e-3 weights produces
-// intermediates around 1e-6000, which plain double flushes to 0.0 and the
-// cache would then serve as a *wrong* 0.0 to every isomorphic subproblem.
-// The explicit exponent makes those intermediates exact; the public API
-// converts back to double only at the very end.
-class WmcRun {
+// Weighted variant: free variables contribute W(x) + W(¬x), the decision
+// literal its own weight. All accumulation — including the component cache
+// — is in ScaledDouble (base/logspace.h): a chain of a few thousand 1e-3
+// weights produces intermediates around 1e-6000, which plain double
+// flushes to 0.0 and the cache would then serve as a *wrong* 0.0 to every
+// isomorphic subproblem. The public API converts back to double only at
+// the very end.
+class WmcSink {
  public:
-  WmcRun(const WeightMap& weights, ModelCounter::Stats& stats, Guard& guard)
-      : weights_(weights), stats_(stats), guard_(guard) {}
+  using Value = ScaledDouble;
+  using Branch = ScaledDouble;
+  static constexpr SearchCounterNames kCounters = kCounterNames;
 
-  Result<ScaledDouble> WmcClauses(Clauses clauses) {
-    Canonicalize(clauses);
-    std::unordered_map<Var, int> seen_before;
-    for (const auto& c : clauses) {
-      for (Lit l : c) seen_before[l.var()] = 1;
-    }
-    std::vector<Lit> implied;
-    Clauses remaining;
-    if (Propagate(std::move(clauses), &implied, &remaining) ==
-        BcpOutcome::kConflict) {
-      return ScaledDouble::Zero();
-    }
-    ScaledDouble result = ScaledDouble::One();
+  WmcSink(const WeightMap& weights, size_t num_vars, uint64_t& rescues)
+      : weights_(weights), num_vars_(num_vars), rescues_(rescues) {}
+
+  void Open(Branch& b, const Clauses& scope, Var decision,
+            const std::vector<Lit>& implied, const Clauses& remaining) {
+    bound_.Clear();
+    b = ScaledDouble::One();
     for (Lit l : implied) {
-      result *= ScaledDouble::FromDouble(weights_[l]);
-      seen_before.erase(l.var());
+      b *= ScaledDouble::FromDouble(weights_[l]);
+      bound_.Set(l.var(), 1);
     }
+    if (decision != kInvalidVar) bound_.Set(decision, 1);
     for (const auto& c : remaining) {
-      for (Lit l : c) seen_before.erase(l.var());
+      for (Lit l : c) bound_.Set(l.var(), 1);
     }
-    // Variables that vanished are free: factor (W(x)+W(¬x)).
-    for (const auto& [v, unused] : seen_before) {
-      result *= ScaledDouble::FromDouble(weights_[Pos(v)] + weights_[Neg(v)]);
+    const auto free_var = [&](Var v) {
+      if (bound_.Has(v)) return;
+      bound_.Set(v, 1);
+      b *= ScaledDouble::FromDouble(weights_[Pos(v)] + weights_[Neg(v)]);
+    };
+    if (decision == kInvalidVar) {
+      for (Var v = 0; v < num_vars_; ++v) free_var(v);
+    } else {
+      for (const auto& c : scope) {
+        for (Lit l : c) free_var(l.var());
+      }
     }
     // Long implied-literal chains are where naive products die first.
-    NoteIfRescued(result);
-    for (Clauses& comp : SplitComponents(std::move(remaining))) {
-      TBC_ASSIGN_OR_RETURN(const ScaledDouble sub,
-                           WmcComponent(std::move(comp)));
-      result *= sub;
-    }
-    NoteIfRescued(result);
-    return result;
+    NoteIfRescued(b);
+  }
+  void Conflict(Branch& b) { b = ScaledDouble::Zero(); }
+  void Multiply(Branch& b, const Value& v) { b *= v; }
+  void Close(Branch& b) { NoteIfRescued(b); }
+  Value Decide(Var v, Branch& hi, Branch& lo) {
+    ScaledDouble total = ScaledDouble::FromDouble(weights_[Pos(v)]) * hi;
+    total += ScaledDouble::FromDouble(weights_[Neg(v)]) * lo;
+    NoteIfRescued(total);
+    return total;
   }
 
  private:
@@ -144,58 +107,28 @@ class WmcRun {
   /// pre-log-space accumulator destroyed; count each sighting.
   void NoteIfRescued(const ScaledDouble& v) {
     if (!v.IsZero() && !v.FitsDouble()) {
-      ++stats_.underflow_rescues;
+      ++rescues_;
       TBC_COUNT("counter.wmc.rescues");
     }
   }
 
-  Result<ScaledDouble> WmcComponent(Clauses clauses) {
-    Canonicalize(clauses);
-    const std::string key = CacheKey(clauses);
-    if (const ScaledDouble* hit = cache_.Find(key)) {
-      ++stats_.cache_hits;
-      TBC_COUNT("counter.cache_hits");
-      return *hit;
-    }
-    TBC_COUNT("counter.cache_misses");
-    ++stats_.decisions;
-    TBC_COUNT("counter.decisions");
-    TBC_RETURN_IF_ERROR(guard_.ChargeDecision());
-    TBC_RETURN_IF_ERROR(guard_.ChargeNodes(1));
-    const Var v = PickBranchVar(clauses);
-    TBC_DCHECK(v != kInvalidVar);
-    std::unordered_map<Var, int> comp_vars;
-    for (const auto& c : clauses) {
-      for (Lit l : c) comp_vars[l.var()] = 1;
-    }
-    ScaledDouble total = ScaledDouble::Zero();
-    for (bool sign : {false, true}) {
-      const Lit branch(v, sign);
-      Clauses sub = ConditionClauses(clauses, branch);
-      TBC_ASSIGN_OR_RETURN(const ScaledDouble sub_wmc, WmcClauses(sub));
-      ScaledDouble w = ScaledDouble::FromDouble(weights_[branch]) * sub_wmc;
-      // Component variables absent from the subproblem are free.
-      std::unordered_map<Var, int> sub_vars;
-      for (const auto& c : sub) {
-        for (Lit l : c) sub_vars[l.var()] = 1;
-      }
-      for (const auto& [u, unused] : comp_vars) {
-        if (u != v && sub_vars.find(u) == sub_vars.end()) {
-          w *= ScaledDouble::FromDouble(weights_[Pos(u)] + weights_[Neg(u)]);
-        }
-      }
-      total += w;
-    }
-    NoteIfRescued(total);
-    cache_.Insert(key, total);
-    return total;
-  }
-
   const WeightMap& weights_;
-  ModelCounter::Stats& stats_;
-  Guard& guard_;
-  FlatMap<std::string, ScaledDouble> cache_;
+  const size_t num_vars_;
+  uint64_t& rescues_;
+  EpochMap bound_;  // variables fixed or still constrained in a branch
 };
+
+template <typename Sink>
+Result<typename Sink::Branch> Search(const Cnf& cnf, Sink& sink, Guard& guard,
+                                     ModelCounter::Stats& stats) {
+  Clauses clauses(cnf.clauses().begin(), cnf.clauses().end());
+  compiler_internal::SortEachClause(clauses);  // invariant for Canonicalize
+  compiler_internal::DpllSearch<Sink> search(sink, guard);
+  auto result = search.Run(std::move(clauses));
+  stats.decisions = search.stats().decisions;
+  stats.cache_hits = search.stats().cache_hits;
+  return result;
+}
 
 }  // namespace
 
@@ -211,12 +144,8 @@ Result<BigUint> ModelCounter::CountBounded(const Cnf& cnf, Guard& guard) {
   TBC_SPAN("counter.count");
   stats_ = Stats();
   TBC_RETURN_IF_ERROR(guard.Check());
-  Clauses clauses(cnf.clauses().begin(), cnf.clauses().end());
-  compiler_internal::SortEachClause(clauses);  // invariant for Canonicalize
-  const size_t mentioned = CountVars(clauses);
-  CountRun run(stats_, guard);
-  TBC_ASSIGN_OR_RETURN(const BigUint c, run.CountClauses(std::move(clauses)));
-  return c * BigUint::PowerOfTwo(static_cast<unsigned>(cnf.num_vars() - mentioned));
+  CountSink sink(cnf.num_vars());
+  return Search(cnf, sink, guard, stats_);
 }
 
 Result<double> ModelCounter::WmcBounded(const Cnf& cnf, const WeightMap& weights,
@@ -224,25 +153,11 @@ Result<double> ModelCounter::WmcBounded(const Cnf& cnf, const WeightMap& weights
   TBC_SPAN("counter.wmc");
   stats_ = Stats();
   TBC_RETURN_IF_ERROR(guard.Check());
-  Clauses clauses(cnf.clauses().begin(), cnf.clauses().end());
-  compiler_internal::SortEachClause(clauses);  // invariant for Canonicalize
-  std::unordered_map<Var, int> mentioned;
-  for (const auto& c : clauses) {
-    for (Lit l : c) mentioned[l.var()] = 1;
-  }
-  WmcRun run(weights, stats_, guard);
-  TBC_ASSIGN_OR_RETURN(ScaledDouble w, run.WmcClauses(std::move(clauses)));
-  for (Var v = 0; v < cnf.num_vars(); ++v) {
-    if (mentioned.find(v) == mentioned.end()) {
-      w *= ScaledDouble::FromDouble(weights[Pos(v)] + weights[Neg(v)]);
-    }
-  }
-  if (!w.IsZero() && !w.FitsDouble()) {
-    // The final answer itself is not double-representable; ToDouble()
-    // saturates (0.0 / inf) as the best the public double API can do.
-    ++stats_.underflow_rescues;
-    TBC_COUNT("counter.wmc.rescues");
-  }
+  WmcSink sink(weights, cnf.num_vars(), stats_.underflow_rescues);
+  // A final value outside the double range was already counted as a
+  // rescue when the root branch closed; ToDouble() then saturates
+  // (0.0 / inf) as the best the public double API can do.
+  TBC_ASSIGN_OR_RETURN(const ScaledDouble w, Search(cnf, sink, guard, stats_));
   return w.ToDouble();
 }
 

@@ -9,10 +9,10 @@
 namespace tbc {
 
 /// Exact #SAT / WMC by exhaustive DPLL with component caching — the
-/// sharpSAT architecture (paper §2.1, footnote 3). Shares its search
-/// skeleton with DdnnfCompiler: keeping the trace of this search yields a
-/// Decision-DNNF [Huang & Darwiche 2007], which is exactly what
-/// DdnnfCompiler does. This direct counter skips circuit construction.
+/// sharpSAT architecture (paper §2.1, footnote 3). Runs the same search as
+/// DdnnfCompiler (compiler/dpll_search.h) with a counting sink in place of
+/// circuit construction: keeping the trace of this search yields a
+/// Decision-DNNF [Huang & Darwiche 2007].
 class ModelCounter {
  public:
   struct Stats {

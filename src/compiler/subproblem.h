@@ -2,7 +2,9 @@
 #define TBC_COMPILER_SUBPROBLEM_H_
 
 #include <algorithm>
+#include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "base/check.h"
@@ -12,16 +14,14 @@
 namespace tbc::compiler_internal {
 
 /// A subproblem of exhaustive DPLL: a set of reduced clauses (no satisfied
-/// clauses, no false literals). Shared by the Decision-DNNF compiler and
-/// the model counter — the paper's point that a model counter's trace *is*
-/// a d-DNNF [Huang & Darwiche 2007] shows up here as the two using the
-/// same search skeleton.
+/// clauses, no false literals). These are the per-node steps of the one
+/// search in compiler/dpll_search.h.
 using Clauses = std::vector<std::vector<Lit>>;
 
 /// Establishes the sorted-clause invariant on fresh input. Every transform
 /// below (Propagate, ConditionClauses, SplitComponents) only deletes
 /// literals or moves whole clauses, so per-clause sortedness is preserved
-/// down the entire DPLL recursion and never needs re-establishing.
+/// down the entire DPLL search and never needs re-establishing.
 inline void SortEachClause(Clauses& clauses) {
   for (auto& c : clauses) std::sort(c.begin(), c.end());
 }
@@ -52,15 +52,20 @@ inline void Canonicalize(Clauses& clauses) {
 /// count. Pinned by CacheKeyIsInjectiveOnSentinelLiteral in
 /// compiler_test.
 inline void CacheKeyInto(const Clauses& clauses, std::string* key) {
-  key->clear();
-  key->reserve(clauses.size() * 12);
+  // A Lit is exactly its uint32 code, so each clause is one bulk copy.
+  static_assert(sizeof(Lit) == sizeof(uint32_t) &&
+                std::is_trivially_copyable_v<Lit>);
+  size_t bytes = 0;
+  for (const auto& c : clauses) bytes += (1 + c.size()) * sizeof(uint32_t);
+  key->resize(bytes);
+  char* out = key->data();
   for (const auto& c : clauses) {
     const uint32_t len = static_cast<uint32_t>(c.size());
-    key->append(reinterpret_cast<const char*>(&len), sizeof(len));
-    for (Lit l : c) {
-      const uint32_t code = l.code();
-      key->append(reinterpret_cast<const char*>(&code), sizeof(code));
-    }
+    std::memcpy(out, &len, sizeof(len));
+    out += sizeof(len);
+    if (c.empty()) continue;  // data() may be null, which memcpy forbids
+    std::memcpy(out, c.data(), c.size() * sizeof(Lit));
+    out += c.size() * sizeof(Lit);
   }
 }
 
@@ -79,7 +84,7 @@ inline BcpOutcome Propagate(Clauses clauses, std::vector<Lit>* implied,
   implied->clear();
   // Propagation runs once per DPLL node; the epoch-stamped scratch turns
   // the per-call assignment map into two array probes. Scratch use is
-  // strictly within this call, so recursion-level reuse is safe.
+  // strictly within this call, so reuse across search nodes is safe.
   static thread_local EpochMap value;
   value.Clear();
   bool changed = true;

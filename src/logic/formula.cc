@@ -253,28 +253,52 @@ Cnf FormulaStore::ToCnfTseitin(FormulaId f) const {
 }
 
 std::string FormulaStore::ToString(FormulaId f) const {
-  const Node& n = nodes_[f];
-  switch (n.kind) {
-    case Kind::kFalse:
-      return "false";
-    case Kind::kTrue:
-      return "true";
-    case Kind::kVar:
-      return "x" + std::to_string(n.var);
-    case Kind::kNot:
-      return "~" + ToString(n.children[0]);
-    case Kind::kAnd:
-    case Kind::kOr: {
-      std::string sep = n.kind == Kind::kAnd ? " & " : " | ";
-      std::string out = "(";
-      for (size_t i = 0; i < n.children.size(); ++i) {
-        if (i > 0) out += sep;
-        out += ToString(n.children[i]);
+  // Iterative, appending into one string: input depth never reaches the
+  // C++ stack. A pending item is a node to print or, when `text` is set,
+  // a separator or closing parenthesis.
+  struct Item {
+    FormulaId node;
+    const char* text;
+  };
+  std::string out;
+  std::vector<Item> pending = {{f, nullptr}};
+  while (!pending.empty()) {
+    const Item item = pending.back();
+    pending.pop_back();
+    if (item.text != nullptr) {
+      out += item.text;
+      continue;
+    }
+    const Node& n = nodes_[item.node];
+    switch (n.kind) {
+      case Kind::kFalse:
+        out += "false";
+        break;
+      case Kind::kTrue:
+        out += "true";
+        break;
+      case Kind::kVar:
+        out += 'x';
+        out += std::to_string(n.var);
+        break;
+      case Kind::kNot:
+        out += '~';
+        pending.push_back({n.children[0], nullptr});
+        break;
+      case Kind::kAnd:
+      case Kind::kOr: {
+        const char* sep = n.kind == Kind::kAnd ? " & " : " | ";
+        out += '(';
+        pending.push_back({0, ")"});
+        for (size_t i = n.children.size(); i-- > 0;) {
+          pending.push_back({n.children[i], nullptr});
+          if (i > 0) pending.push_back({0, sep});
+        }
+        break;
       }
-      return out + ")";
     }
   }
-  return "?";
+  return out;
 }
 
 }  // namespace tbc

@@ -209,6 +209,7 @@ const std::vector<uint64_t>& NnfManager::VarSet(NnfId root) {
   if (varset_ready_.size() < num_nodes()) {
     varset_ready_.resize(num_nodes(), 0);
     varset_cache_.resize(num_nodes());
+    varset_span_.resize(num_nodes());
   }
   const size_t words = (num_vars_ + 63) / 64;
   if (varset_ready_[root] && varset_cache_[root].size() == words) {
@@ -221,11 +222,20 @@ const std::vector<uint64_t>& NnfManager::VarSet(NnfId root) {
       const Var v = lit(n).var();
       set[v / 64] |= 1ull << (v % 64);
     } else {
+      // Only each child's nonzero words: a wide gate over narrow children
+      // (smoothing's (x ∨ ¬x) fan-out) costs O(children), not
+      // O(children × words).
       for (NnfId c : children(n)) {
         const std::vector<uint64_t>& cs = varset_cache_[c];
-        for (size_t w = 0; w < words; ++w) set[w] |= cs[w];
+        const auto [first, last] = varset_span_[c];
+        for (size_t w = first; w < last; ++w) set[w] |= cs[w];
       }
     }
+    uint32_t first = 0;
+    auto last = static_cast<uint32_t>(words);
+    while (first < last && set[first] == 0) ++first;
+    while (last > first && set[last - 1] == 0) --last;
+    varset_span_[n] = {first, last};
     varset_cache_[n] = std::move(set);
     varset_ready_[n] = 1;
   }

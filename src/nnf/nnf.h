@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "base/bigint.h"
@@ -195,6 +196,8 @@ class NnfManager {
   UniqueTable index_;
   std::vector<std::vector<uint64_t>> varset_cache_;  // parallel to nodes_
   std::vector<int8_t> varset_ready_;
+  // Nonzero word range [first, second) of each cached varset.
+  std::vector<std::pair<uint32_t, uint32_t>> varset_span_;
   static uint64_t CountCacheKey(NnfId root, size_t num_vars) {
     return (uint64_t{root} << 32) | static_cast<uint32_t>(num_vars);
   }

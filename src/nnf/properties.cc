@@ -7,11 +7,22 @@ namespace tbc {
 namespace {
 
 // Conjunction of (x ∨ ¬x) for every variable in `missing` with `node`.
-NnfId AttachMissing(NnfManager& mgr, NnfId node, const std::vector<Var>& missing) {
+// Charges the and-gate plus one node per attached input up front: this is
+// where smoothing's O(n^2) fan-out is spent. `tautology` memoizes each
+// variable's (x ∨ ¬x) gate, which hash-consing would return anyway, so a
+// wide fan-out costs one vector slot per input instead of three interns.
+Result<NnfId> AttachMissing(NnfManager& mgr, NnfId node,
+                            const std::vector<Var>& missing,
+                            std::vector<NnfId>& tautology, Guard& guard) {
   if (missing.empty()) return node;
+  TBC_RETURN_IF_ERROR(guard.ChargeNodes(1 + missing.size()));
   std::vector<NnfId> parts = {node};
   for (Var v : missing) {
-    parts.push_back(mgr.Or(mgr.Literal(Pos(v)), mgr.Literal(Neg(v))));
+    if (v >= tautology.size()) tautology.resize(v + 1, kInvalidNnf);
+    if (tautology[v] == kInvalidNnf) {
+      tautology[v] = mgr.Or(mgr.Literal(Pos(v)), mgr.Literal(Neg(v)));
+    }
+    parts.push_back(tautology[v]);
   }
   return mgr.And(std::move(parts));
 }
@@ -146,11 +157,19 @@ bool IsDecision(NnfManager& mgr, NnfId root) {
 }
 
 NnfId Smooth(NnfManager& mgr, NnfId root, size_t num_vars) {
+  Guard unlimited;  // local: no shared charge counter between threads
+  return SmoothBounded(mgr, root, num_vars, unlimited).value();
+}
+
+Result<NnfId> SmoothBounded(NnfManager& mgr, NnfId root, size_t num_vars,
+                            Guard& guard) {
   mgr.VarSet(root);
   // Dense memo indexed by original node id; And/Or below may append nodes,
   // but only pre-existing ids are ever looked up.
   std::vector<NnfId> memo(mgr.num_nodes(), kInvalidNnf);
+  std::vector<NnfId> tautology;
   for (NnfId n : mgr.TopologicalOrder(root)) {
+    TBC_RETURN_IF_ERROR(guard.Poll());
     switch (mgr.kind(n)) {
       case NnfManager::Kind::kFalse:
       case NnfManager::Kind::kTrue:
@@ -158,6 +177,7 @@ NnfId Smooth(NnfManager& mgr, NnfId root, size_t num_vars) {
         memo[n] = n;
         break;
       case NnfManager::Kind::kAnd: {
+        TBC_RETURN_IF_ERROR(guard.ChargeNodes(1));
         std::vector<NnfId> kids;
         const std::vector<NnfId> original = mgr.children(n).ToVector();
         for (NnfId c : original) kids.push_back(memo[c]);
@@ -165,25 +185,27 @@ NnfId Smooth(NnfManager& mgr, NnfId root, size_t num_vars) {
         break;
       }
       case NnfManager::Kind::kOr: {
+        TBC_RETURN_IF_ERROR(guard.ChargeNodes(1));
         const std::vector<uint64_t> full = mgr.VarSet(n);  // copy: mgr mutates
         std::vector<NnfId> kids;
         const std::vector<NnfId> original = mgr.children(n).ToVector();
         for (NnfId c : original) {
           const std::vector<Var> missing = MissingVars(full, mgr.VarSet(c));
-          kids.push_back(AttachMissing(mgr, memo[c], missing));
+          TBC_ASSIGN_OR_RETURN(
+              const NnfId kid,
+              AttachMissing(mgr, memo[c], missing, tautology, guard));
+          kids.push_back(kid);
         }
         memo[n] = mgr.Or(std::move(kids));
         break;
       }
     }
   }
-  NnfId result = memo[root];
-  if (num_vars > 0) {
-    std::vector<uint64_t> all((num_vars + 63) / 64, 0);
-    for (size_t v = 0; v < num_vars; ++v) all[v / 64] |= 1ull << (v % 64);
-    result = AttachMissing(mgr, result, MissingVars(all, mgr.VarSet(root)));
-  }
-  return result;
+  if (num_vars == 0) return memo[root];
+  std::vector<uint64_t> all((num_vars + 63) / 64, 0);
+  for (size_t v = 0; v < num_vars; ++v) all[v / 64] |= 1ull << (v % 64);
+  return AttachMissing(mgr, memo[root], MissingVars(all, mgr.VarSet(root)),
+                       tautology, guard);
 }
 
 }  // namespace tbc

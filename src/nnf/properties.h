@@ -1,6 +1,8 @@
 #ifndef TBC_NNF_PROPERTIES_H_
 #define TBC_NNF_PROPERTIES_H_
 
+#include "base/guard.h"
+#include "base/result.h"
 #include "nnf/nnf.h"
 
 namespace tbc {
@@ -28,6 +30,13 @@ bool IsDecision(NnfManager& mgr, NnfId root);
 /// `num_vars > 0`, the root is additionally smoothed over variables
 /// 0..num_vars-1. Preserves decomposability and determinism.
 NnfId Smooth(NnfManager& mgr, NnfId root, size_t num_vars = 0);
+
+/// Resource-governed Smooth: polls the deadline per circuit node and
+/// charges each gate it rebuilds plus each (x ∨ ¬x) input it attaches
+/// against max_nodes (a wide clause smooths to O(n^2) edges). On a trip,
+/// returns the typed refusal; `mgr` keeps any gates already created.
+Result<NnfId> SmoothBounded(NnfManager& mgr, NnfId root, size_t num_vars,
+                            Guard& guard);
 
 }  // namespace tbc
 

@@ -29,7 +29,10 @@ std::string WriteSdd(const SddManager& mgr, SddId f) {
       for (const auto& [p, s] : mgr.elements(g)) {
         const uint32_t pid = emit(p);
         const uint32_t sid = emit(s);
-        elems += " " + std::to_string(pid) + " " + std::to_string(sid);
+        elems += ' ';
+        elems += std::to_string(pid);
+        elems += ' ';
+        elems += std::to_string(sid);
         ++k;
       }
       id = next++;

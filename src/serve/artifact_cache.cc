@@ -155,7 +155,11 @@ Result<std::shared_ptr<const Artifact>> ArtifactCache::Build(
       ModelCountBounded(mgr, artifact->root, artifact->num_vars, guard);
   if (!count.ok()) return count.status();
   artifact->count = std::move(count).value();
-  artifact->smooth_root = Smooth(mgr, artifact->root, artifact->num_vars);
+  // Smoothing a wide clause costs O(n^2) edges: it spends the request's
+  // budget like the compile does, and a trip caches nothing.
+  auto smooth = SmoothBounded(mgr, artifact->root, artifact->num_vars, guard);
+  if (!smooth.ok()) return smooth.status();
+  artifact->smooth_root = *smooth;
   mgr.VarSet(artifact->smooth_root);
   artifact->nodes = mgr.NumNodesBelow(artifact->root);
   artifact->edges = mgr.CircuitSize(artifact->root);
@@ -243,6 +247,8 @@ std::shared_ptr<const Artifact> ArtifactCache::Lookup(
   }
   if (it->second->artifact->cnf_text != cnf_text) return nullptr;  // collision
   it->second->last_use = ++use_clock_;
+  TBC_COUNT("serve.cache.hits");
+  if (it->second->artifact->from_store) TBC_COUNT("serve.store.hits");
   return it->second->artifact;
 }
 

@@ -81,9 +81,10 @@ class ArtifactCache {
 
   /// Peek: the completed artifact for `cnf_text` if one is cached, else
   /// nullptr. Never compiles, never blocks on an in-flight compile, but
-  /// does refresh LRU recency. Used by admission control to let already-
-  /// compiled CNFs bypass the width forecast (the compile cost the
-  /// forecast prices has already been paid).
+  /// does refresh LRU recency and counts a hit like GetOrCompile. Used by
+  /// admission control to let already-compiled CNFs bypass the width
+  /// forecast (the compile cost the forecast prices has already been
+  /// paid).
   std::shared_ptr<const Artifact> Lookup(const std::string& cnf_text);
 
   /// Number of cached (completed) artifacts.

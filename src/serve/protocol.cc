@@ -246,7 +246,10 @@ std::string Response::Serialize() const {
   if (has_mpe) {
     out += "mpe_weight " + EncodeDouble(mpe_weight) + "\n";
     out += "mpe";
-    for (int l : mpe) out += " " + std::to_string(l);
+    for (int l : mpe) {
+      out += ' ';
+      out += std::to_string(l);
+    }
     out += "\n";
   }
   if (circuit_nodes > 0) out += "nodes " + std::to_string(circuit_nodes) + "\n";

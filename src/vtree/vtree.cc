@@ -164,8 +164,31 @@ std::vector<Var> Vtree::VarsBelow(VtreeId v) const {
 }
 
 std::string Vtree::ToString(VtreeId v) const {
-  if (IsLeaf(v)) return std::to_string(nodes_[v].var);
-  return "(" + ToString(nodes_[v].left) + " " + ToString(nodes_[v].right) + ")";
+  // Iterative, appending into one string (a right-linear vtree is as deep
+  // as it has variables). A pending item is a node to print or, when
+  // `text` is set, a separator or closing parenthesis.
+  struct Item {
+    VtreeId node;
+    const char* text;
+  };
+  std::string out;
+  std::vector<Item> pending = {{v, nullptr}};
+  while (!pending.empty()) {
+    const Item item = pending.back();
+    pending.pop_back();
+    if (item.text != nullptr) {
+      out += item.text;
+    } else if (IsLeaf(item.node)) {
+      out += std::to_string(nodes_[item.node].var);
+    } else {
+      out += '(';
+      pending.push_back({0, ")"});
+      pending.push_back({nodes_[item.node].right, nullptr});
+      pending.push_back({0, " "});
+      pending.push_back({nodes_[item.node].left, nullptr});
+    }
+  }
+  return out;
 }
 
 std::string Vtree::ToFileString() const {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <set>
 #include <string>
 
@@ -307,6 +309,95 @@ TEST(ModelCounterTest, CounterAgreesWithCompilerTrace) {
     NnfId root = compiler.Compile(cnf, m);
     EXPECT_EQ(counter.Count(cnf), ModelCount(m, root, 13)) << "seed " << seed;
   }
+}
+
+// Runs `fn` on a thread with a 256 KiB stack: a search that recursed once
+// per decision level would overflow it a few thousand levels down.
+void RunOnSmallStack(const std::function<void()>& fn) {
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, 256 * 1024), 0);
+  pthread_t thread;
+  const auto trampoline = [](void* arg) -> void* {
+    (*static_cast<const std::function<void()>*>(arg))();
+    return nullptr;
+  };
+  ASSERT_EQ(pthread_create(&thread, &attr, trampoline,
+                           const_cast<std::function<void()>*>(&fn)),
+            0);
+  pthread_join(thread, nullptr);
+  pthread_attr_destroy(&attr);
+}
+
+struct DeepResults {
+  BigUint counted;
+  double wmc = 0.0;
+  BigUint compiled;
+  BigUint traced;  // stays zero when trace emission is compiled out
+  size_t trace_comps = 0;
+  uint64_t decisions = 0;
+};
+
+// Count, WMC, Compile, and Compile with a trace attached, all on a small
+// stack.
+DeepResults SolveOnSmallStack(const Cnf& cnf, const WeightMap& weights) {
+  DeepResults r;
+  RunOnSmallStack([&] {
+    ModelCounter counter;
+    r.counted = counter.Count(cnf);
+    r.wmc = counter.Wmc(cnf, weights);
+    DdnnfCompiler compiler;
+    NnfManager m;
+    r.compiled = ModelCount(m, compiler.Compile(cnf, m), cnf.num_vars());
+    r.decisions = compiler.stats().decisions;
+#if TBC_CERTIFY_TRACE_ON
+    DdnnfTrace trace;
+    compiler.set_trace(&trace);
+    NnfManager traced;
+    r.traced = ModelCount(traced, compiler.Compile(cnf, traced), cnf.num_vars());
+    r.trace_comps = trace.comps.size();
+#endif
+  });
+  return r;
+}
+
+TEST(DeepSearchTest, WideClauseAndLongChainRunOnASmallStack) {
+  // Both inputs drive the search 2000 decisions deep.
+  constexpr Var kN = 2000;
+  Cnf clause(kN);
+  Clause wide;
+  for (Var v = 0; v < kN; ++v) wide.push_back(Pos(v));
+  clause.AddClause(wide);
+  WeightMap halves(kN);
+  for (Var v = 0; v < kN; ++v) {
+    halves.Set(Pos(v), 0.5);
+    halves.Set(Neg(v), 0.5);
+  }
+  const BigUint clause_models = BigUint::PowerOfTwo(kN) - BigUint(1);
+  DeepResults r = SolveOnSmallStack(clause, halves);
+  EXPECT_EQ(r.counted, clause_models);
+  EXPECT_NEAR(r.wmc, 1.0, 1e-12);  // 1 - 2^-2000
+  EXPECT_EQ(r.compiled, clause_models);
+#if TBC_CERTIFY_TRACE_ON
+  EXPECT_EQ(r.traced, clause_models);
+  EXPECT_EQ(r.trace_comps, r.decisions);  // no cache hits on this input
+#endif
+
+  Cnf chain(kN);  // x_i -> x_{i+1}
+  for (Var v = 0; v + 1 < kN; ++v) chain.AddClause({Neg(v), Pos(v + 1)});
+  WeightMap ones(kN);
+  for (Var v = 0; v < kN; ++v) {
+    ones.Set(Pos(v), 1.0);
+    ones.Set(Neg(v), 1.0);
+  }
+  r = SolveOnSmallStack(chain, ones);
+  EXPECT_EQ(r.counted, BigUint(kN + 1));
+  EXPECT_EQ(r.wmc, kN + 1.0);
+  EXPECT_EQ(r.compiled, BigUint(kN + 1));
+#if TBC_CERTIFY_TRACE_ON
+  EXPECT_EQ(r.traced, BigUint(kN + 1));
+  EXPECT_EQ(r.trace_comps, r.decisions);
+#endif
 }
 
 }  // namespace

@@ -1,13 +1,10 @@
-// Bayesian-network text IO, BN-classifier compilation, and Graphviz DOT
-// exports.
+// Bayesian-network text IO and BN-classifier compilation.
 
 #include <gtest/gtest.h>
 
 #include "bayes/io.h"
 #include "bayes/network.h"
 #include "bayes/varelim.h"
-#include "core/dot.h"
-#include "sdd/compile.h"
 #include "vtree/vtree.h"
 #include "xai/bn_classifier.h"
 
@@ -91,43 +88,6 @@ TEST(BnClassifierTest, ThresholdSweepChangesDecisionFunction) {
   // Monotone in the threshold: strict ⊆ lenient.
   EXPECT_EQ(mgr.Implies(f_strict, f_lenient), mgr.True());
   EXPECT_NE(f_strict, f_lenient);
-}
-
-TEST(DotTest, ExportsAreWellFormed) {
-  // Smoke tests: every export produces a digraph mentioning its parts.
-  Vtree vt = Vtree::Balanced({0, 1, 2, 3});
-  const std::string vdot = DotVtree(vt, {"A", "B", "C", "D"});
-  EXPECT_NE(vdot.find("digraph vtree"), std::string::npos);
-  EXPECT_NE(vdot.find("\"A\""), std::string::npos);
-
-  ObddManager obdd(Vtree::IdentityOrder(2));
-  const ObddId f = obdd.And(obdd.LiteralNode(Pos(0)), obdd.LiteralNode(Neg(1)));
-  const std::string odot = DotObdd(obdd, f);
-  EXPECT_NE(odot.find("digraph obdd"), std::string::npos);
-  EXPECT_NE(odot.find("style=dashed"), std::string::npos);
-  EXPECT_NE(odot.find("style=solid"), std::string::npos);
-
-  SddManager sdd(Vtree::Balanced({0, 1, 2, 3}));
-  Cnf cnf(4);
-  cnf.AddClauseDimacs({1, 2});
-  cnf.AddClauseDimacs({-3, 4});
-  const SddId g = CompileCnf(sdd, cnf);
-  const std::string sdot = DotSdd(sdd, g);
-  EXPECT_NE(sdot.find("digraph sdd"), std::string::npos);
-  EXPECT_NE(sdot.find("shape=record"), std::string::npos);
-
-  NnfManager nnf;
-  const NnfId root = nnf.Decision(0, nnf.Literal(Pos(1)), nnf.Literal(Neg(1)));
-  const std::string ndot = DotNnf(nnf, root);
-  EXPECT_NE(ndot.find("digraph nnf"), std::string::npos);
-  EXPECT_NE(ndot.find("\"and\""), std::string::npos);
-  EXPECT_NE(ndot.find("\"or\""), std::string::npos);
-}
-
-TEST(DotTest, ConstantObdd) {
-  ObddManager obdd(Vtree::IdentityOrder(1));
-  const std::string dot = DotObdd(obdd, obdd.True());
-  EXPECT_NE(dot.find("t1"), std::string::npos);
 }
 
 }  // namespace

@@ -21,7 +21,9 @@
 #include "base/observability.h"
 #include "base/random.h"
 #include "base/result.h"
+#include "compiler/ddnnf_compiler.h"
 #include "gtest/gtest.h"
+#include "logic/cnf.h"
 #include "serve/artifact_cache.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
@@ -510,10 +512,22 @@ TEST(Server, ForecastAdmissionRefusesHighWidthWithoutCompiling) {
   EXPECT_EQ(ok->count, "4");
 
   // And once an artifact is cached, repeat requests bypass the forecast
-  // path entirely (cache_hit short-circuit).
-  auto cached = client.Call(small);
-  ASSERT_TRUE(cached.ok());
-  EXPECT_TRUE(cached->cache_hit);
+  // path entirely (cache_hit short-circuit) — and each one is counted as
+  // a cache hit, like a hit through GetOrCompile.
+  const uint64_t hits_before =
+      Observability::Global().CounterValue("serve.cache.hits");
+  constexpr uint64_t kCachedQueries = 3;
+  for (uint64_t i = 0; i < kCachedQueries; ++i) {
+    auto cached = client.Call(small);
+    ASSERT_TRUE(cached.ok());
+    EXPECT_TRUE(cached->cache_hit);
+  }
+#if TBC_OBSERVE_ON
+  EXPECT_EQ(Observability::Global().CounterValue("serve.cache.hits"),
+            hits_before + kCachedQueries);
+#else
+  (void)hits_before;
+#endif
   (*server)->Shutdown();
 }
 
@@ -546,6 +560,52 @@ TEST(Server, ForecastAdmissionAdmitsWhenAnalysisOverBudget) {
   EXPECT_EQ((*server)->cached_artifacts(), 1u);
   EXPECT_FALSE(resp->count.empty());  // 2^5000 - 1 models
   EXPECT_NE(resp->count, "0");
+  (*server)->Shutdown();
+}
+
+TEST(Server, SmoothingSpendsTheRequestBudget) {
+  auto server = Server::Start(LoopbackOptions());
+  ASSERT_TRUE(server.ok()) << server.status().message();
+  Client client(ClientFor(**server));
+
+  // One n-literal clause compiles in n - 1 decisions, but smoothing its
+  // decision chain attaches O(n^2) (x | ~x) inputs. A node budget of 1000
+  // admits the compile and must stop the smoothing with a typed refusal.
+  const size_t n = 200;
+  std::string wide = "p cnf " + std::to_string(n) + " 1\n";
+  for (size_t v = 1; v <= n; ++v) wide += std::to_string(v) + " ";
+  wide += "0\n";
+
+  {  // The compile alone fits the budget: the refusal is the smoothing's.
+    auto parsed = Cnf::ParseDimacs(wide);
+    ASSERT_TRUE(parsed.ok());
+    Guard guard(Budget::NodeLimit(1000));
+    NnfManager mgr;
+    EXPECT_TRUE(DdnnfCompiler().CompileBounded(*parsed, mgr, guard).ok());
+  }
+
+  Request req;
+  req.op = Op::kCount;
+  req.cnf_text = wide;
+  req.max_nodes = 1000;
+  auto refused = client.Call(req);
+  ASSERT_TRUE(refused.ok()) << refused.status().message();
+  EXPECT_EQ(refused->status, StatusCode::kBudgetExceeded) << refused->message;
+  EXPECT_EQ((*server)->cached_artifacts(), 0u);  // nothing half-built kept
+
+  // The daemon keeps serving, and the same CNF without the cap compiles.
+  Request small;
+  small.op = Op::kCount;
+  small.cnf_text = kSmallCnf;
+  auto ok = client.Call(small);
+  ASSERT_TRUE(ok.ok());
+  ASSERT_TRUE(ok->ok()) << ok->message;
+  EXPECT_EQ(ok->count, "4");
+  req.max_nodes = 0;
+  auto answered = client.Call(req);
+  ASSERT_TRUE(answered.ok());
+  ASSERT_TRUE(answered->ok()) << answered->message;
+  EXPECT_FALSE(answered->cache_hit);
   (*server)->Shutdown();
 }
 
