@@ -338,6 +338,10 @@ class NnfCertChecker : CheckerBase {
       bool pushed;   // component: the current side's engine scope is open
     };
     std::vector<Frame> stack = {{&top, 0, 0, false, false}};
+    // A component is a strict subproblem of every component above it, so
+    // one that appears on its own replay path makes the trace cyclic. This
+    // also bounds the stack by the trace's size.
+    std::vector<bool> on_path(cert_.ddnnf.comps.size(), false);
     // A failure closes every side scope still open on the stack.
     const auto fail = [&] {
       for (const Frame& f : stack) {
@@ -347,12 +351,6 @@ class NnfCertChecker : CheckerBase {
     };
     const auto enter = [&] {
       if (!Charge()) return false;
-      if (stack.size() - 1 > options_.max_replay_depth) {
-        report_.Add(Severity::kError, rules::kCertifyBudget, 0, "",
-                    "trace replay exceeded the depth cap "
-                    "(cyclic component references?)");
-        return false;
-      }
       stack.back().started = true;
       return true;
     };
@@ -379,6 +377,13 @@ class NnfCertChecker : CheckerBase {
         }
         if (f.next < b.comps.size()) {
           const uint32_t id = b.comps[f.next++];
+          if (on_path[id]) {
+            report_.Add(Severity::kError, rules::kCertifyReplay, 0,
+                        "comp " + std::to_string(id),
+                        "component is referenced from inside itself");
+            return fail();
+          }
+          on_path[id] = true;
           stack.push_back({nullptr, id, 0, false, false});
           continue;
         }
@@ -442,6 +447,7 @@ class NnfCertChecker : CheckerBase {
         }
         engine_f_->AddScoped({n});
       }
+      on_path[f.comp] = false;
       stack.pop_back();
     }
     return true;

@@ -20,10 +20,6 @@ struct CertifyOptions {
   uint64_t max_solve_decisions = 1u << 20;
   /// Cap on total replay steps + probes across the whole check.
   uint64_t max_work = 1u << 22;
-  /// Cap on trace replay depth: one branch and one component level per
-  /// compiler decision. The replay runs on a heap stack, so the cap only
-  /// bounds cyclic component references (max_work also stops those).
-  uint32_t max_replay_depth = 1u << 20;
 };
 
 struct CertifyResult {

@@ -51,7 +51,9 @@ NnfId NnfManager::Intern(Node node) {
 
 NnfId NnfManager::Literal(Lit l) {
   TBC_DCHECK(l.valid());
-  num_vars_ = std::max(num_vars_, static_cast<size_t>(l.var()) + 1);
+  // Written only when it grows: re-interning a known literal, as smoothing
+  // a warmed shared artifact does, must stay a pure read.
+  if (l.var() >= num_vars_) num_vars_ = static_cast<size_t>(l.var()) + 1;
   return Intern({Kind::kLiteral, l.code(), {}});
 }
 

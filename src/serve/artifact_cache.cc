@@ -59,6 +59,8 @@ std::shared_ptr<const Artifact> RestoreFromStore(const std::string& path,
                         : ModelCount(mgr, artifact->root, artifact->num_vars);
   // Same warm sequence as Build(): varsets, level schedule, count memo,
   // smoothed root (appended to the overlay past the mapped range).
+  // Smoothing is unbounded here: no request is waiting, and Build() only
+  // spilled this artifact after its smoothing fit a request's Guard.
   mgr.VarSet(artifact->root);
   mgr.ScheduleCached(artifact->root);
   mgr.StoreModelCount(artifact->root, artifact->num_vars, artifact->count);

@@ -229,6 +229,7 @@ const CorpusCase kCorpus[] = {
     {"ddnnf_nondecomposable.cert", "certify.decomposable"},
     {"ddnnf_nondeterministic.cert", "certify.deterministic"},
     {"ddnnf_swapped_top.cert", "certify.replay"},
+    {"ddnnf_cyclic_trace.cert", "certify.replay"},
     {"ddnnf_tampered_count.cert", "certify.count"},
     {"obdd_order_violation.cert", "certify.obdd-ordered"},
     {"obdd_bogus_step.cert", "certify.replay"},
