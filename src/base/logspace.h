@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 
 namespace tbc {
 
@@ -83,10 +84,28 @@ class ScaledDouble {
       e_ = 0;
       return *this;
     }
-    int adj = 0;
-    m_ = std::frexp(m_ * o.m_, &adj);  // product in ±(0.25, 1): no rounding
-                                       // beyond the one double multiply
-    e_ += o.e_ + adj;
+    // The product lies in ±[0.25, 1): no rounding beyond the one double
+    // multiply, and renormalizing is at most one exact doubling.
+    m_ *= o.m_;
+    e_ += o.e_;
+    if (std::fabs(m_) < 0.5) {
+      m_ *= 2.0;
+      --e_;
+    }
+    return *this;
+  }
+
+  /// Division; the divisor must be nonzero. Like the multiply, one double
+  /// division of the mantissas (the quotient lies in ±[0.5, 2)) and at
+  /// most one exact halving.
+  ScaledDouble& operator/=(const ScaledDouble& o) {
+    if (IsZero()) return *this;
+    m_ /= o.m_;
+    e_ -= o.e_;
+    if (std::fabs(m_) >= 1.0) {
+      m_ *= 0.5;
+      ++e_;
+    }
     return *this;
   }
 
@@ -107,16 +126,28 @@ class ScaledDouble {
       *this = *hi;  // |lo| < half an ulp of |hi|: the add would round it away
       return *this;
     }
-    const double sum = hi->m_ + std::ldexp(lo->m_, static_cast<int>(-gap));
-    if (sum == 0.0) {
+    // 2^-gap built from its bit pattern: exact, and the aligned addend
+    // stays a normal double since |lo| >= 0.5 and gap < 64. (This header
+    // also compiles as C++17, hence memcpy rather than std::bit_cast.)
+    const uint64_t align_bits = static_cast<uint64_t>(1023 - gap) << 52;
+    double align = 0.0;
+    std::memcpy(&align, &align_bits, sizeof align);
+    const double sum = hi->m_ + lo->m_ * align;
+    const int64_t base = hi->e_;
+    if (const double mag = std::fabs(sum); mag >= 1.0) {
+      m_ = sum * 0.5;  // carry out of [0.5, 1): one exact halving
+      e_ = base + 1;
+    } else if (mag >= 0.5) {
+      m_ = sum;
+      e_ = base;
+    } else if (sum == 0.0) {
       m_ = 0.0;
       e_ = 0;
-      return *this;
+    } else {
+      int adj = 0;  // cancellation between opposite signs
+      m_ = std::frexp(sum, &adj);
+      e_ = base + adj;
     }
-    int adj = 0;
-    const int64_t base = hi->e_;
-    m_ = std::frexp(sum, &adj);
-    e_ = base + adj;
     return *this;
   }
 
@@ -128,8 +159,25 @@ class ScaledDouble {
     a += b;
     return a;
   }
+  friend ScaledDouble operator/(ScaledDouble a, const ScaledDouble& b) {
+    a /= b;
+    return a;
+  }
+
+  /// Numeric order, the same as the doubles' wherever both are in range
+  /// (the normalized representation of a value is unique).
+  friend bool operator<(const ScaledDouble& a, const ScaledDouble& b) {
+    const int sa = a.Sign();
+    const int sb = b.Sign();
+    if (sa != sb) return sa < sb;
+    if (sa == 0) return false;
+    if (a.e_ != b.e_) return (a.e_ < b.e_) == (sa > 0);
+    return a.m_ < b.m_;
+  }
 
  private:
+  int Sign() const { return m_ > 0.0 ? 1 : (m_ < 0.0 ? -1 : 0); }
+
   double m_ = 0.0;   // ±[0.5, 1) or exactly 0
   int64_t e_ = 0;    // power-of-two scale; 0 when m_ == 0
 };

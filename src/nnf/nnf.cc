@@ -124,13 +124,23 @@ LevelSchedule NnfManager::Schedule(NnfId root) const {
   });
 }
 
-const LevelSchedule& NnfManager::ScheduleCached(NnfId root) {
-  if (const uint32_t* slot = schedule_index_.Find(root)) {
-    return *schedules_[*slot];
+const NnfManager::EvalPlan& NnfManager::EvalPlanCached(NnfId root) {
+  if (const uint32_t* slot = plan_index_.Find(root)) return *plans_[*slot];
+  VarSet(root);
+  auto plan = std::make_unique<EvalPlan>();
+  plan->schedule = Schedule(root);
+  plan->num_vars.reserve(plan->schedule.order.size());
+  for (NnfId n : plan->schedule.order) {
+    uint32_t count = 0;
+    const auto [first, last] = varset_span_[n];
+    for (size_t w = first; w < last; ++w) {
+      count += static_cast<uint32_t>(__builtin_popcountll(varset_cache_[n][w]));
+    }
+    plan->num_vars.push_back(count);
   }
-  schedules_.push_back(std::make_unique<LevelSchedule>(Schedule(root)));
-  schedule_index_.Insert(root, static_cast<uint32_t>(schedules_.size() - 1));
-  return *schedules_.back();
+  plans_.push_back(std::move(plan));
+  plan_index_.Insert(root, static_cast<uint32_t>(plans_.size() - 1));
+  return *plans_.back();
 }
 
 size_t NnfManager::CircuitSize(NnfId root) const {

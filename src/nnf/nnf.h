@@ -18,6 +18,31 @@ namespace tbc {
 using NnfId = uint32_t;
 constexpr NnfId kInvalidNnf = static_cast<NnfId>(-1);
 
+/// The variables of bitset `big` absent from bitset `small` — an or-gate's
+/// varset and one input's, or a universe and a root's — walked in place
+/// in ascending order: the variables smoothing attaches and gap factors
+/// multiply in.
+struct MissingVars {
+  const std::vector<uint64_t>& big;
+  const std::vector<uint64_t>& small;
+
+  template <typename F>
+  void ForEach(F&& f) const {
+    for (size_t w = 0; w < big.size(); ++w) {
+      uint64_t diff = big[w] & ~(w < small.size() ? small[w] : 0);
+      while (diff != 0) {
+        f(static_cast<Var>(64 * w + __builtin_ctzll(diff)));
+        diff &= diff - 1;
+      }
+    }
+  }
+  std::vector<Var> ToVector() const {
+    std::vector<Var> out;
+    ForEach([&out](Var v) { out.push_back(v); });
+    return out;
+  }
+};
+
 /// A read-only NNF node table in CSR (struct-of-arrays) form, typically
 /// pointing straight into a memory-mapped circuit store (src/store/).
 /// NnfManager::FromMapped() adopts one as its base node store with zero
@@ -142,20 +167,33 @@ class NnfManager {
   std::vector<NnfId> TopologicalOrder(NnfId root) const;
 
   /// Topological level schedule of the subcircuit at `root`: leaves at
-  /// level 0, each gate one level above its deepest input. The evaluation
-  /// kernels in nnf/queries.cc walk the schedule's contiguous per-level
-  /// ranges with dense rank-indexed value arrays (and, optionally, a
-  /// ThreadPool over each level).
+  /// level 0, each gate one level above its deepest input. The evaluator
+  /// in nnf/queries.cc walks the schedule's contiguous per-level ranges
+  /// with dense rank-indexed value arrays (and, optionally, a ThreadPool
+  /// over each level).
   LevelSchedule Schedule(NnfId root) const;
 
-  /// Cached variant of Schedule(). The store is append-only and children
-  /// are immutable, so a root's schedule never invalidates; repeated
+  /// What the evaluator needs per root: the level schedule plus the
+  /// variable count |VarSet| of every scheduled node, indexed by rank. An
+  /// or-input with as many variables as its gate has no gap factor, so
+  /// the counts spare most or-edges any varset work.
+  struct EvalPlan {
+    LevelSchedule schedule;
+    std::vector<uint32_t> num_vars;
+  };
+
+  /// The root's EvalPlan, built once and cached. The store is append-only
+  /// and children are immutable, so a plan never invalidates; repeated
   /// queries on the same root (the common pattern: compile once, count /
-  /// WMC many times) pay the levelization once. The reference stays valid
-  /// for the manager's lifetime. Like VarSet(), the first call per root
-  /// writes the cache: warm single-threaded before sharing the manager
-  /// across lanes.
-  const LevelSchedule& ScheduleCached(NnfId root);
+  /// WMC many times) levelize once. The reference stays valid for the
+  /// manager's lifetime. The first call per root writes the cache and
+  /// warms the subcircuit's varsets: warm single-threaded before sharing
+  /// the manager across lanes, and keep transient roots out of it.
+  const EvalPlan& EvalPlanCached(NnfId root);
+  /// The schedule of EvalPlanCached(root).
+  const LevelSchedule& ScheduleCached(NnfId root) {
+    return EvalPlanCached(root).schedule;
+  }
 
   /// Memoized unweighted model-count results (the classic BDD-package
   /// count cache): a circuit's count over a fixed variable universe is a
@@ -202,8 +240,8 @@ class NnfManager {
     return (uint64_t{root} << 32) | static_cast<uint32_t>(num_vars);
   }
 
-  FlatMap<NnfId, uint32_t> schedule_index_;  // root -> schedules_ slot
-  std::vector<std::unique_ptr<LevelSchedule>> schedules_;
+  FlatMap<NnfId, uint32_t> plan_index_;  // root -> plans_ slot
+  std::vector<std::unique_ptr<EvalPlan>> plans_;
   FlatMap<uint64_t, BigUint> count_cache_;
   size_t num_vars_ = 0;
 };

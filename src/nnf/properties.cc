@@ -27,20 +27,6 @@ Result<NnfId> AttachMissing(NnfManager& mgr, NnfId node,
   return mgr.And(std::move(parts));
 }
 
-std::vector<Var> MissingVars(const std::vector<uint64_t>& big,
-                             const std::vector<uint64_t>& small) {
-  std::vector<Var> out;
-  for (size_t w = 0; w < big.size(); ++w) {
-    uint64_t diff = big[w] & ~(w < small.size() ? small[w] : 0);
-    while (diff != 0) {
-      const int bit = __builtin_ctzll(diff);
-      out.push_back(static_cast<Var>(64 * w + bit));
-      diff &= diff - 1;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 bool IsDecomposable(NnfManager& mgr, NnfId root) {
@@ -190,7 +176,8 @@ Result<NnfId> SmoothBounded(NnfManager& mgr, NnfId root, size_t num_vars,
         std::vector<NnfId> kids;
         const std::vector<NnfId> original = mgr.children(n).ToVector();
         for (NnfId c : original) {
-          const std::vector<Var> missing = MissingVars(full, mgr.VarSet(c));
+          const std::vector<Var> missing =
+              MissingVars{full, mgr.VarSet(c)}.ToVector();
           TBC_ASSIGN_OR_RETURN(
               const NnfId kid,
               AttachMissing(mgr, memo[c], missing, tautology, guard));
@@ -204,7 +191,8 @@ Result<NnfId> SmoothBounded(NnfManager& mgr, NnfId root, size_t num_vars,
   if (num_vars == 0) return memo[root];
   std::vector<uint64_t> all((num_vars + 63) / 64, 0);
   for (size_t v = 0; v < num_vars; ++v) all[v / 64] |= 1ull << (v % 64);
-  return AttachMissing(mgr, memo[root], MissingVars(all, mgr.VarSet(root)),
+  return AttachMissing(mgr, memo[root],
+                       MissingVars{all, mgr.VarSet(root)}.ToVector(),
                        tautology, guard);
 }
 

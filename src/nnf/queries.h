@@ -6,6 +6,7 @@
 
 #include "base/bigint.h"
 #include "base/guard.h"
+#include "base/logspace.h"
 #include "base/random.h"
 #include "base/result.h"
 #include "base/thread_pool.h"
@@ -16,12 +17,22 @@ namespace tbc {
 
 /// Polytime queries on tractable NNF circuits (paper §3).
 ///
+/// Every query is one upward pass over the root's level schedule under a
+/// different semiring (DESIGN.md "One evaluator"): exact counting,
+/// sum-product and max-product over ScaledDouble, Boolean SAT, min-plus
+/// cardinality, and constrained max-sum. Weighted passes accumulate in
+/// ScaledDouble (base/logspace.h), so no intermediate underflows or
+/// overflows; results are rounded to double only at the end, and are
+/// bit-identical to plain-double accumulation wherever every intermediate
+/// stays in double range.
+///
 /// Preconditions are by construction, not re-checked: IsSatDnnf requires
 /// decomposability; the counting queries require decomposability AND
-/// determinism (d-DNNF). None require smoothness — or-gate inputs that miss
-/// variables are handled with gap factors, the multiplicative correction
-/// 2^(#missing) (or Π(W(x)+W(¬x)) for WMC), which is exactly what explicit
-/// smoothing would contribute.
+/// determinism (d-DNNF). Only MarginalWmcBounded and MaxSumWmc require
+/// smoothness — elsewhere or-gate inputs that miss variables are handled
+/// with gap factors, the multiplicative correction 2^(#missing) (or
+/// Π(W(x)+W(¬x)) for WMC), which is exactly what explicit smoothing would
+/// contribute.
 
 /// Linear-time satisfiability of a DNNF circuit (unlocks class NP): a
 /// DNNF is satisfiable iff ⊥ does not propagate to the root.
@@ -34,14 +45,15 @@ BigUint ModelCount(NnfManager& mgr, NnfId root, size_t num_vars);
 /// Weighted model count with per-literal weights (paper §2.1, WMC).
 double Wmc(NnfManager& mgr, NnfId root, const WeightMap& weights);
 
-/// Resource-governed variants of the counting kernels. All three walk the
-/// circuit's level schedule over dense rank-indexed arrays; when `pool` is
-/// non-null each level's node batch is distributed over its lanes. The
-/// per-node recurrences read only completed earlier levels and iterate
-/// children in a fixed order, so results are bit-identical to the serial
-/// pass at every thread count (the determinism contract of
-/// base/thread_pool.h). The guard is polled throughout; on a trip the
-/// partial pass is discarded and the guard's typed refusal is returned.
+/// Resource-governed variants of the counting kernels. They walk the
+/// root's cached plan (NnfManager::EvalPlanCached) over dense rank-indexed
+/// arrays; when `pool` is non-null each level's node batch is distributed
+/// over its lanes. The per-node recurrences read only completed earlier
+/// levels and iterate children in a fixed order, so results are
+/// bit-identical to the serial pass at every thread count (the
+/// determinism contract of base/thread_pool.h). The guard is polled
+/// throughout; on a trip the partial pass is discarded and the guard's
+/// typed refusal is returned.
 Result<BigUint> ModelCountBounded(NnfManager& mgr, NnfId root, size_t num_vars,
                                   Guard& guard, ThreadPool* pool = nullptr);
 Result<double> WmcBounded(NnfManager& mgr, NnfId root, const WeightMap& weights,
@@ -49,7 +61,17 @@ Result<double> WmcBounded(NnfManager& mgr, NnfId root, const WeightMap& weights,
 
 /// All marginal weighted model counts in one bottom-up + top-down pass
 /// [Darwiche 2001, 2003]: returns m with m[l.code()] = WMC(Δ ∧ l) for every
-/// literal l over 0..num_vars-1. The circuit is smoothed internally.
+/// literal l over 0..weights.num_vars()-1. `smooth_root` must already be
+/// smooth over those variables (Smooth(mgr, root, weights.num_vars())), so
+/// repeated queries on one artifact neither re-smooth nor write to the
+/// manager once its plan is warm. The upward pass may use `pool`; the
+/// derivative pass is serial; the guard is polled in both.
+Result<std::vector<double>> MarginalWmcBounded(NnfManager& mgr,
+                                               NnfId smooth_root,
+                                               const WeightMap& weights,
+                                               Guard& guard,
+                                               ThreadPool* pool = nullptr);
+/// Unbounded MarginalWmcBounded on any d-DNNF root: smooths it first.
 std::vector<double> MarginalWmc(NnfManager& mgr, NnfId root,
                                 const WeightMap& weights);
 
@@ -61,7 +83,8 @@ size_t MinCardinality(NnfManager& mgr, NnfId root);
 /// weight, maximizing Π W(literal) over complete assignments consistent
 /// with the circuit. Requires satisfiable circuit.
 struct MpeResult {
-  double weight = 0.0;
+  double weight = 0.0;  // nearest double of scaled_weight (0 on underflow)
+  ScaledDouble scaled_weight;  // Π W(literal) of `assignment`, in log space
   Assignment assignment;
 };
 MpeResult MaxWmc(NnfManager& mgr, NnfId root, const WeightMap& weights,

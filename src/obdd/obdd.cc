@@ -5,6 +5,7 @@
 #include "base/check.h"
 #include "base/hash.h"
 #include "base/observability.h"
+#include "nnf/queries.h"
 
 #ifdef TBC_CERTIFY
 #include "certify/emit.h"
@@ -218,57 +219,8 @@ BigUint ObddManager::ModelCount(ObddId f) {
 }
 
 double ObddManager::Wmc(ObddId f, const WeightMap& weights) {
-  // Free variables at skipped levels contribute (W(x)+W(¬x)).
-  std::vector<double> free_factor(order_.size() + 1, 1.0);
-  // free_factor[i] = product over levels >= i of (W+W); computed suffix-wise.
-  for (size_t i = order_.size(); i-- > 0;) {
-    const Var v = order_[i];
-    free_factor[i] = free_factor[i + 1] * (weights[Pos(v)] + weights[Neg(v)]);
-  }
-  auto span_factor = [&](uint32_t from_level, uint32_t to_level) {
-    // Product of (W+W) for levels in [from_level, to_level).
-    return free_factor[to_level] == 0.0
-               ? 0.0
-               : free_factor[from_level] / free_factor[to_level];
-  };
-  // Guard against zero (W+W) factors making the suffix trick ill-defined:
-  // fall back to explicit products if any pair sums to zero.
-  bool any_zero = false;
-  for (Var v : order_) {
-    if (weights[Pos(v)] + weights[Neg(v)] == 0.0) any_zero = true;
-  }
-  std::function<double(uint32_t, uint32_t)> span_explicit =
-      [&](uint32_t a, uint32_t b) {
-        double r = 1.0;
-        for (uint32_t i = a; i < b; ++i) {
-          const Var v = order_[i];
-          r *= weights[Pos(v)] + weights[Neg(v)];
-        }
-        return r;
-      };
-  auto span = [&](uint32_t a, uint32_t b) {
-    return any_zero ? span_explicit(a, b) : span_factor(a, b);
-  };
-
-  const std::vector<ObddId> order = ReachableAscending(f);
-  std::vector<double> value(nodes_.size(), 0.0);
-  const uint32_t num_levels = static_cast<uint32_t>(order_.size());
-  auto level_of = [&](ObddId g) {
-    return IsTerminal(g) ? num_levels : LevelOf(nodes_[g].var);
-  };
-  for (const ObddId g : order) {
-    if (g == 0) continue;  // stays 0
-    if (g == 1) {
-      value[g] = 1.0;
-      continue;
-    }
-    const Node& n = nodes_[g];
-    const uint32_t lv = LevelOf(n.var);
-    value[g] =
-        weights[Neg(n.var)] * value[n.lo] * span(lv + 1, level_of(n.lo)) +
-        weights[Pos(n.var)] * value[n.hi] * span(lv + 1, level_of(n.hi));
-  }
-  return value[f] * span(0, level_of(f));
+  NnfManager nnf;
+  return tbc::Wmc(nnf, ToNnf(f, nnf), weights);
 }
 
 void ObddManager::EnumerateModels(

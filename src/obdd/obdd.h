@@ -79,7 +79,8 @@ class ObddManager {
   bool Evaluate(ObddId f, const Assignment& assignment) const;
   /// Exact number of models over all manager variables.
   BigUint ModelCount(ObddId f);
-  /// Weighted model count over all manager variables.
+  /// Weighted model count over the weight map's variables: ToNnf into a
+  /// scratch manager, then the log-space circuit evaluator (nnf/queries.h).
   double Wmc(ObddId f, const WeightMap& weights);
   /// Invokes on_model for every model over all manager variables
   /// (test/analysis oracle; exponential output).

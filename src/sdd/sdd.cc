@@ -896,15 +896,8 @@ BigUint SddManager::ModelCount(SddId f) {
 }
 
 double SddManager::Wmc(SddId f, const WeightMap& weights) {
-  if (f == False()) return 0.0;
   NnfManager nnf;
-  const NnfId root = ToNnf(f, nnf);
-  if (root == nnf.True()) {
-    double r = 1.0;
-    for (Var v = 0; v < num_vars(); ++v) r *= weights[Pos(v)] + weights[Neg(v)];
-    return r;
-  }
-  return tbc::Wmc(nnf, root, weights);
+  return tbc::Wmc(nnf, ToNnf(f, nnf), weights);
 }
 
 }  // namespace tbc

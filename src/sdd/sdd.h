@@ -117,7 +117,8 @@ class SddManager {
 
   /// Exact model count over all vtree variables.
   BigUint ModelCount(SddId f);
-  /// Weighted model count over all vtree variables.
+  /// Weighted model count over the weight map's variables: ToNnf into a
+  /// scratch manager, then the log-space circuit evaluator (nnf/queries.h).
   double Wmc(SddId f, const WeightMap& weights);
 
   /// Exports as d-DNNF (structured decomposable, deterministic).

@@ -28,6 +28,22 @@ std::string KeyOf(const std::string& cnf_text) {
   return buf;
 }
 
+/// The warm-up both Build() and RestoreFromStore() end with, once the
+/// smoothed root exists: the evaluation plans (level schedule, per-rank
+/// variable counts) of the root, which WMC and MPE read, and of the
+/// smoothed root, which MAR reads, plus both roots' varsets. Smoothing can
+/// widen the manager's variable range, which stales every varset, so this
+/// runs after it.
+void WarmForQueries(Artifact& artifact) {
+  NnfManager& mgr = *artifact.mgr;
+  mgr.VarSet(artifact.root);
+  mgr.VarSet(artifact.smooth_root);
+  mgr.ScheduleCached(artifact.root);
+  mgr.ScheduleCached(artifact.smooth_root);
+  artifact.nodes = mgr.NumNodesBelow(artifact.root);
+  artifact.edges = mgr.CircuitSize(artifact.root);
+}
+
 /// Restores one spilled artifact from a `.tbc` file. Returns nullptr (with
 /// the reason counted) if the file fails store validation, lacks the
 /// embedded CNF, or does not hash to its own filename key. Warms the
@@ -57,18 +73,14 @@ std::shared_ptr<const Artifact> RestoreFromStore(const std::string& path,
   artifact->count = loaded->store->has_model_count()
                         ? loaded->store->model_count()
                         : ModelCount(mgr, artifact->root, artifact->num_vars);
-  // Same warm sequence as Build(): varsets, level schedule, count memo,
-  // smoothed root (appended to the overlay past the mapped range).
-  // Smoothing is unbounded here: no request is waiting, and Build() only
-  // spilled this artifact after its smoothing fit a request's Guard.
-  mgr.VarSet(artifact->root);
-  mgr.ScheduleCached(artifact->root);
+  // Same warm sequence as Build(): count memo, smoothed root (appended to
+  // the overlay past the mapped range), plans. Smoothing is unbounded
+  // here: no request is waiting, and Build() only spilled this artifact
+  // after its smoothing fit a request's Guard.
   mgr.StoreModelCount(artifact->root, artifact->num_vars, artifact->count);
   artifact->smooth_root = Smooth(mgr, artifact->root, artifact->num_vars);
-  mgr.VarSet(artifact->smooth_root);
-  artifact->nodes = mgr.NumNodesBelow(artifact->root);
-  artifact->edges = mgr.CircuitSize(artifact->root);
   artifact->mgr = std::move(loaded->mgr);
+  WarmForQueries(*artifact);
   TBC_COUNT("serve.store.restores");
   return artifact;
 }
@@ -151,8 +163,6 @@ Result<std::shared_ptr<const Artifact>> ArtifactCache::Build(
   // Warm every lazily-written manager cache single-threaded, so queries on
   // the shared artifact are pure reads (see Artifact doc comment).
   NnfManager& mgr = *artifact->mgr;
-  mgr.VarSet(artifact->root);
-  mgr.ScheduleCached(artifact->root);
   auto count =
       ModelCountBounded(mgr, artifact->root, artifact->num_vars, guard);
   if (!count.ok()) return count.status();
@@ -162,9 +172,7 @@ Result<std::shared_ptr<const Artifact>> ArtifactCache::Build(
   auto smooth = SmoothBounded(mgr, artifact->root, artifact->num_vars, guard);
   if (!smooth.ok()) return smooth.status();
   artifact->smooth_root = *smooth;
-  mgr.VarSet(artifact->smooth_root);
-  artifact->nodes = mgr.NumNodesBelow(artifact->root);
-  artifact->edges = mgr.CircuitSize(artifact->root);
+  WarmForQueries(*artifact);
   return std::shared_ptr<const Artifact>(std::move(artifact));
 }
 

@@ -21,17 +21,19 @@ namespace tbc::serve {
 /// An immutable compiled circuit shared by concurrent queries.
 ///
 /// Built once (single-threaded) by ArtifactCache::GetOrCompile, then only
-/// read. Build() warms every lazily-populated manager cache — varsets, the
-/// level schedule, the model-count memo, and the smoothed root used by the
-/// marginals query — so the "warm single-threaded before sharing" contract
-/// of NnfManager holds and concurrent WMC/MAR/MPE queries on one artifact
-/// are data-race-free (asserted by the serve soak test under TSan).
+/// read. Build() warms every lazily-populated manager cache — the
+/// model-count memo, the smoothed root the marginals query evaluates, and
+/// the evaluation plans (level schedule, per-rank variable counts,
+/// varsets) of both roots — so the "warm single-threaded before sharing"
+/// contract of NnfManager holds and concurrent WMC/MAR/MPE queries on one
+/// artifact are data-race-free (asserted by the serve soak test under
+/// TSan).
 struct Artifact {
   std::string cnf_text;   // exact bytes the key was hashed from
   std::string key;        // 32-hex content hash
   std::unique_ptr<NnfManager> mgr;
   NnfId root = kInvalidNnf;
-  NnfId smooth_root = kInvalidNnf;  // pre-smoothed for MarginalWmc
+  NnfId smooth_root = kInvalidNnf;  // root smoothed for MarginalWmcBounded
   size_t num_vars = 0;
   BigUint count;          // exact model count (warms the count memo)
   size_t nodes = 0;       // circuit nodes below root

@@ -367,17 +367,14 @@ Response Server::Execute(const Request& req, Guard& guard) {
       return resp;
     }
     case Op::kMar: {
-      // The artifact's smooth root was built (and its caches warmed) at
-      // compile time; MarginalWmc re-smooths internally, which is a pure
-      // cache replay here.
-      const std::vector<double> m =
-          MarginalWmc(*art.mgr, art.root, weights);
-      Status st = guard.Check();
-      if (!st.ok()) return ErrorResponse(st);
-      resp.marginals.reserve(m.size());
-      for (size_t code = 0; code < m.size(); ++code) {
+      // The smoothed root and its plan were warmed when the artifact was
+      // built, so this reads the shared manager and writes nothing.
+      auto m = MarginalWmcBounded(*art.mgr, art.smooth_root, weights, guard);
+      if (!m.ok()) return ErrorResponse(m.status());
+      resp.marginals.reserve(m->size());
+      for (size_t code = 0; code < m->size(); ++code) {
         resp.marginals.emplace_back(
-            Lit::FromCode(static_cast<uint32_t>(code)).ToDimacs(), m[code]);
+            Lit::FromCode(static_cast<uint32_t>(code)).ToDimacs(), (*m)[code]);
       }
       return resp;
     }

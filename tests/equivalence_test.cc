@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <set>
 #include <tuple>
@@ -93,26 +94,49 @@ TEST_P(CrossEngineTest, AllEnginesAgreeOnCountsAndSemantics) {
 TEST_P(CrossEngineTest, WmcAgreesAcrossEngines) {
   const Cnf cnf = MakeCnf();
   const size_t n = cnf.num_vars();
-  WeightMap w(n);
-  Rng rng(std::get<0>(GetParam()) + 999);
-  for (Var v = 0; v < n; ++v) {
-    const double p = 0.1 + 0.8 * rng.Uniform();
-    w.Set(Pos(v), p);
-    w.Set(Neg(v), 1.0 - p);
-  }
   NnfManager nnf;
   DdnnfCompiler compiler;
   const NnfId root = compiler.Compile(cnf, nnf);
-  const double via_circuit = Wmc(nnf, root, w);
-
-  ModelCounter counter;
-  EXPECT_NEAR(counter.Wmc(cnf, w), via_circuit, 1e-10);
-
   ObddManager obdd(Vtree::IdentityOrder(n));
-  EXPECT_NEAR(obdd.Wmc(obdd.CompileCnf(cnf), w), via_circuit, 1e-10);
-
+  const ObddId bdd = obdd.CompileCnf(cnf);
   SddManager sdd(Vtree::Balanced(Vtree::IdentityOrder(n)));
-  EXPECT_NEAR(sdd.Wmc(CompileCnf(sdd, cnf), w), via_circuit, 1e-10);
+  const SddId f = CompileCnf(sdd, cnf);
+
+  // Extreme mode scales both literal weights of even variables by 2^-600
+  // and of odd ones by 2^600 (an unpaired last variable stays unscaled).
+  // Every model then weighs an ordinary double, and so does the WMC, but
+  // a product of two same-parity literals already leaves double range: an
+  // engine that accumulates in plain double returns 0, inf or NaN.
+  for (const bool extreme : {false, true}) {
+    WeightMap w(n);
+    Rng rng(std::get<0>(GetParam()) + 999);
+    for (Var v = 0; v < n; ++v) {
+      const double p = 0.1 + 0.8 * rng.Uniform();
+      const int scale = !extreme || (n % 2 == 1 && v == n - 1) ? 0
+                        : v % 2 == 0                            ? -600
+                                                                : 600;
+      w.Set(Pos(v), std::ldexp(p, scale));
+      w.Set(Neg(v), std::ldexp(1.0 - p, scale));
+    }
+    const double via_circuit = Wmc(nnf, root, w);
+    ModelCounter counter;
+    const double via_counter = counter.Wmc(cnf, w);
+    const double via_obdd = obdd.Wmc(bdd, w);
+    const double via_sdd = sdd.Wmc(f, w);
+    if (!extreme) {
+      EXPECT_NEAR(via_counter, via_circuit, 1e-10);
+      EXPECT_NEAR(via_obdd, via_circuit, 1e-10);
+      EXPECT_NEAR(via_sdd, via_circuit, 1e-10);
+      continue;
+    }
+    // Relative error against the counter: each engine sums the same terms
+    // in its own order, a few ulps apart.
+    ASSERT_TRUE(std::isnormal(via_counter) || via_counter == 0.0);
+    const double tol = 1e-12 * std::fabs(via_counter);
+    EXPECT_NEAR(via_circuit, via_counter, tol) << "d-DNNF, extreme weights";
+    EXPECT_NEAR(via_obdd, via_counter, tol) << "OBDD, extreme weights";
+    EXPECT_NEAR(via_sdd, via_counter, tol) << "SDD, extreme weights";
+  }
 }
 
 TEST_P(CrossEngineTest, ObddToSddPreservesFunction) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "base/logspace.h"
+#include "base/random.h"
 
 namespace tbc {
 namespace {
@@ -236,6 +237,28 @@ TEST(ScaledDoubleTest, AdditionMatchesDoubleBitForBit) {
       EXPECT_EQ(s.ToDouble(), a + b) << a << " + " << b;
     }
   }
+}
+
+TEST(ScaledDoubleTest, ArithmeticAndOrderMatchDoubleOnRandomOperands) {
+  // Signed operands across 600 binary orders of magnitude: every result
+  // stays a normal double, so each must match plain double bit for bit.
+  Rng rng(4242);
+  auto draw = [&rng] {
+    const double m = (rng.Flip(0.3) ? -1.0 : 1.0) * (rng.Uniform() + 0.01);
+    return std::ldexp(m, static_cast<int>(rng.Below(600)) - 300);
+  };
+  for (int i = 0; i < 20000; ++i) {
+    const double a = draw();
+    const double b = draw();
+    const ScaledDouble sa = ScaledDouble::FromDouble(a);
+    const ScaledDouble sb = ScaledDouble::FromDouble(b);
+    ASSERT_EQ((sa * sb).ToDouble(), a * b) << a << " * " << b;
+    ASSERT_EQ((sa + sb).ToDouble(), a + b) << a << " + " << b;
+    ASSERT_EQ((sa / sb).ToDouble(), a / b) << a << " / " << b;
+    ASSERT_EQ(sa < sb, a < b) << a << " < " << b;
+  }
+  EXPECT_TRUE(ScaledDouble::Zero() < ScaledDouble::One());
+  EXPECT_TRUE(ScaledDouble::FromDouble(-1.0) < ScaledDouble::Zero());
 }
 
 TEST(ScaledDoubleTest, AdditionDropsNegligibleAddendLikeDouble) {

@@ -2,10 +2,10 @@
 // The contract under test (DESIGN.md "Kernel layer"): for every query, a
 // pool of 1, 2, or 8 threads produces *bit-identical* results — identical
 // BigUint model counts, identical WMC doubles, identical MPE assignments,
-// identical PSDD likelihood vectors — because each parallel body writes
-// only its own slot and all reductions run serially in index order. Under
-// -DTBC_SANITIZE=thread these tests double as data-race checks on the
-// shared read-only circuit state.
+// identical marginals, identical PSDD likelihood vectors — because each
+// parallel body writes only its own slot and all reductions run serially
+// in index order. Under -DTBC_SANITIZE=thread these tests double as
+// data-race checks on the shared read-only circuit state.
 
 #include <algorithm>
 #include <atomic>
@@ -123,6 +123,28 @@ TEST(ParallelEvalTest, MpeBitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(ParallelEvalTest, MarginalsBitIdenticalAcrossThreadCounts) {
+  const size_t kVars = 24;
+  const Cnf cnf = RandomCnf(kVars, 60, 19);
+  const WeightMap w = RandomWeights(kVars, 20);
+  NnfManager mgr;
+  DdnnfCompiler compiler;
+  const NnfId smooth = Smooth(mgr, compiler.Compile(cnf, mgr), kVars);
+
+  Guard unlimited;
+  const Result<std::vector<double>> serial =
+      MarginalWmcBounded(mgr, smooth, w, unlimited);
+  ASSERT_TRUE(serial.ok());
+  ASSERT_EQ(serial->size(), 2 * kVars);
+  for (size_t threads : kThreadSweep) {
+    ThreadPool pool(threads);
+    const Result<std::vector<double>> parallel =
+        MarginalWmcBounded(mgr, smooth, w, unlimited, &pool);
+    ASSERT_TRUE(parallel.ok());
+    EXPECT_EQ(*parallel, *serial) << "threads=" << threads;
+  }
+}
+
 TEST(ParallelEvalTest, PsddLikelihoodsIdenticalAcrossThreadCounts) {
   // Compile a small constraint, learn parameters from sampled data, then
   // sweep thread counts over both batch APIs.
@@ -212,6 +234,12 @@ TEST(ParallelEvalTest, PreCancelledGuardRefusesBeforeWork) {
   const Result<BigUint> r = ModelCountBounded(mgr, root, kVars, guard, &pool);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error_code(), StatusCode::kCancelled);
+
+  const NnfId smooth = Smooth(mgr, root, kVars);
+  const Result<std::vector<double>> mar =
+      MarginalWmcBounded(mgr, smooth, WeightMap(kVars), guard, &pool);
+  ASSERT_FALSE(mar.ok());
+  EXPECT_EQ(mar.error_code(), StatusCode::kCancelled);
 }
 
 TEST(ParallelEvalTest, MidRunCancellationStopsBatch) {

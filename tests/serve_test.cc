@@ -9,10 +9,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <locale>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +26,7 @@
 #include "compiler/ddnnf_compiler.h"
 #include "gtest/gtest.h"
 #include "logic/cnf.h"
+#include "nnf/queries.h"
 #include "serve/artifact_cache.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
@@ -340,6 +343,77 @@ TEST(Server, AnswersQueriesAndReusesArtifacts) {
   EXPECT_TRUE(w->cache_hit);  // same artifact serves every query op
 }
 
+// MAR on a cached artifact evaluates the smoothed root its build warmed:
+// repeated requests return bit-identical marginals, and the evaluation
+// reads the shared manager without adding a node to it.
+TEST(Server, RepeatedMarginalsReadTheWarmedSmoothRoot) {
+  auto server = Server::Start(LoopbackOptions());
+  ASSERT_TRUE(server.ok()) << server.status().message();
+  Client client(ClientFor(**server));
+  Request mar;
+  mar.op = Op::kMar;
+  mar.cnf_text = kSmallCnf;
+  mar.weights = {{1, 0.25}, {-1, 0.75}};
+  auto first = client.Call(mar);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(first->ok()) << first->message;
+  auto second = client.Call(mar);
+  ASSERT_TRUE(second.ok());
+  ASSERT_TRUE(second->ok()) << second->message;
+  EXPECT_TRUE(second->cache_hit);
+  EXPECT_EQ(second->marginals, first->marginals);
+  // (x1 ∨ x2) ∧ (¬x1 ∨ x3) with W(x1) = 0.25, W(¬x1) = 0.75, others 1.
+  const std::map<int, double> expected = {{1, 0.5},  {-1, 1.5}, {2, 1.75},
+                                          {-2, 0.25}, {3, 1.25}, {-3, 0.75}};
+  ASSERT_EQ(first->marginals.size(), expected.size());
+  for (const auto& [lit, value] : first->marginals) {
+    EXPECT_DOUBLE_EQ(value, expected.at(lit)) << "literal " << lit;
+  }
+  (*server)->Shutdown();
+
+  // The same kernel the server runs, on an artifact held directly.
+  Guard guard;
+  auto art = ArtifactCache::Build(kSmallCnf, guard);
+  ASSERT_TRUE(art.ok()) << art.status().message();
+  const NnfManager& mgr = *(*art)->mgr;
+  const size_t nodes = mgr.num_nodes();
+  WeightMap w((*art)->num_vars);
+  w.Set(Lit::FromDimacs(1), 0.25);
+  w.Set(Lit::FromDimacs(-1), 0.75);
+  auto m1 = MarginalWmcBounded(*(*art)->mgr, (*art)->smooth_root, w, guard);
+  auto m2 = MarginalWmcBounded(*(*art)->mgr, (*art)->smooth_root, w, guard);
+  ASSERT_TRUE(m1.ok());
+  ASSERT_TRUE(m2.ok());
+  EXPECT_EQ(*m1, *m2);
+  EXPECT_EQ(mgr.num_nodes(), nodes);
+}
+
+// The wmc op evaluates in log space: 600 clauses (x ∨ y) whose light half
+// multiplies to ≈1e-1057 on its own still answer the exact WMC, 0.36^300
+// (the instance wmc_property_test pins on every backend).
+TEST(Server, WmcOpSurvivesExtremeWeights) {
+  auto server = Server::Start(LoopbackOptions());
+  ASSERT_TRUE(server.ok()) << server.status().message();
+  Client client(ClientFor(**server));
+  Request wmc;
+  wmc.op = Op::kWmc;
+  wmc.cnf_text = "p cnf 1200 600\n";
+  for (int v = 1; v <= 1200; v += 2) {
+    wmc.cnf_text += std::to_string(v) + " " + std::to_string(v + 1) + " 0\n";
+  }
+  for (int v = 1; v <= 1200; ++v) {
+    const double x = v <= 600 ? 0.01 : 20.0;
+    wmc.weights.emplace_back(v, x);
+    wmc.weights.emplace_back(-v, x);
+  }
+  auto w = client.Call(wmc);
+  ASSERT_TRUE(w.ok());
+  ASSERT_TRUE(w->ok()) << w->message;
+  const double expected = std::pow(0.36, 300);
+  EXPECT_NEAR(w->wmc, expected, 1e-12 * expected);
+  (*server)->Shutdown();
+}
+
 // The tentpole's restart contract (DESIGN.md "Persistent circuit store"):
 // a server with a store directory spills every compiled artifact, and a
 // *fresh* server pointed at the same directory answers previously
@@ -394,8 +468,12 @@ TEST(Server, WarmStartsFromStoreWithZeroCompileActivity) {
   auto server = Server::Start(opts);
   ASSERT_TRUE(server.ok()) << server.status().message();
   EXPECT_EQ((*server)->cached_artifacts(), 1u);  // warm before accept
+#if TBC_OBSERVE_ON
   EXPECT_EQ(Observability::Global().CounterValue("serve.store.restores"),
             restores_before + 1);
+#else
+  (void)restores_before;
+#endif
 
   Client client(ClientFor(**server));
   auto c = client.Call(count);
@@ -412,8 +490,12 @@ TEST(Server, WarmStartsFromStoreWithZeroCompileActivity) {
   // both queries were served off the restored (mapped) artifact.
   EXPECT_EQ(Observability::Global().CounterValue("serve.cache.misses"),
             misses_before);
+#if TBC_OBSERVE_ON
   EXPECT_EQ(Observability::Global().CounterValue("serve.store.hits"),
             hits_before + 2);
+#else
+  (void)hits_before;
+#endif
   (*server)->Shutdown();
   std::filesystem::remove_all(store_dir);
 }
@@ -493,9 +575,13 @@ TEST(Server, ForecastAdmissionRefusesHighWidthWithoutCompiling) {
   EXPECT_EQ((*server)->cached_artifacts(), 0u);
   EXPECT_EQ(Observability::Global().CounterValue("serve.cache.misses"),
             misses_before);
+#if TBC_OBSERVE_ON
   EXPECT_EQ(
       Observability::Global().CounterValue("serve.requests.forecast_refused"),
       refused_before + 1);
+#else
+  (void)refused_before;
+#endif
 
   // Retrying the identical request is deterministic: refused again.
   auto again = client.Call(req);

@@ -13,10 +13,16 @@
 #include <set>
 #include <vector>
 
+#include "base/logspace.h"
 #include "base/random.h"
+#include "compiler/ddnnf_compiler.h"
 #include "compiler/model_counter.h"
 #include "logic/cnf.h"
 #include "logic/lit.h"
+#include "nnf/queries.h"
+#include "obdd/obdd.h"
+#include "sdd/sdd.h"
+#include "vtree/vtree.h"
 
 namespace tbc {
 namespace {
@@ -139,6 +145,77 @@ TEST(WmcPropertyTest, ExactCountInvariantUnderRenaming) {
     ModelCounter fresh;
     EXPECT_EQ(fresh.Count(RenameVars(cnf, perm)), base) << "seed " << seed;
   }
+}
+
+// 600 independent clauses (x ∨ y) over adjacent variable pairs. Variables
+// 0..599 weigh 0.01 on both literals, 600..1199 weigh 20. WMC is
+// 0.0003^300 · 1200^300 = 0.36^300 ≈ 7.78e-134, comfortably a double, but
+// a product over the 300 light components alone, 0.0003^300 ≈ 1e-1057, is
+// not: a circuit evaluated in plain double that multiplies them first
+// returns 0. The d-DNNF, SDD and OBDD paths all end in the circuit
+// evaluator, which accumulates in log space.
+TEST(WmcPropertyTest, ExtremeWeightsSurviveEveryCircuitPath) {
+  constexpr size_t kVars = 1200;
+  Cnf cnf(kVars);
+  for (Var v = 0; v < kVars; v += 2) cnf.AddClause({Pos(v), Pos(v + 1)});
+  WeightMap w(kVars);
+  for (Var v = 0; v < kVars; ++v) {
+    const double x = v < kVars / 2 ? 0.01 : 20.0;
+    w.Set(Pos(v), x);
+    w.Set(Neg(v), x);
+  }
+  ModelCounter counter;
+  const double expected = counter.Wmc(cnf, w);
+  ASSERT_NEAR(expected, 7.77589e-134, 1e-138);
+  // Relative bound: each path sums and multiplies ~1200 terms in its own
+  // order, so a few hundred ulps at most; 1e-12 leaves ample headroom.
+  auto near = [&](double got) {
+    return std::fabs(got - expected) <= 1e-12 * expected;
+  };
+
+  NnfManager nnf;
+  DdnnfCompiler compiler;
+  const NnfId root = compiler.Compile(cnf, nnf);
+  EXPECT_PRED1(near, Wmc(nnf, root, w));
+  const Result<double> bounded = WmcBounded(nnf, root, w, Guard::Unlimited());
+  ASSERT_TRUE(bounded.ok());
+  EXPECT_PRED1(near, *bounded);
+
+  // The SDD is conjoined clause by clause rather than by CompileCnf: a
+  // certify build checks every CompileCnf result with a complete DPLL
+  // that has no component decomposition, and 600 independent clauses
+  // exceed its decision budget.
+  SddManager sdd(Vtree::Balanced(Vtree::IdentityOrder(kVars)));
+  SddId f = sdd.True();
+  for (const Clause& c : cnf.clauses()) {
+    f = sdd.Conjoin(
+        f, sdd.Disjoin(sdd.LiteralNode(c[0]), sdd.LiteralNode(c[1])));
+  }
+  EXPECT_PRED1(near, sdd.Wmc(f, w));
+  ObddManager obdd(Vtree::IdentityOrder(kVars));
+  EXPECT_PRED1(near, obdd.Wmc(obdd.CompileCnf(cnf), w));
+
+  // MAR: m(x) + m(¬x) = WMC for every variable.
+  const std::vector<double> m = MarginalWmc(nnf, root, w);
+  ASSERT_EQ(m.size(), 2 * kVars);
+  for (Var v = 0; v < kVars; ++v) {
+    EXPECT_GT(m[Pos(v).code()], 0.0) << "var " << v;
+    EXPECT_PRED1(near, m[Pos(v).code()] + m[Neg(v).code()]) << "var " << v;
+  }
+
+  // MPE: each light clause's models weigh 1e-4, each heavy one's 400, so
+  // the maximum is 0.04^300 ≈ 1e-419 — below double range, but exact in
+  // log space, and equal to the weight of the returned assignment.
+  const MpeResult mpe = MaxWmc(nnf, root, w, kVars);
+  ASSERT_FALSE(mpe.scaled_weight.IsZero());
+  EXPECT_NEAR(mpe.scaled_weight.Log2Abs(), 300 * std::log2(0.04), 1e-9);
+  ScaledDouble own = ScaledDouble::One();
+  for (Var v = 0; v < kVars; ++v) {
+    own *= ScaledDouble::FromDouble(w[Lit(v, mpe.assignment[v])]);
+  }
+  EXPECT_EQ(own.mantissa(), mpe.scaled_weight.mantissa());
+  EXPECT_EQ(own.exponent(), mpe.scaled_weight.exponent());
+  EXPECT_TRUE(cnf.Evaluate(mpe.assignment));
 }
 
 }  // namespace
