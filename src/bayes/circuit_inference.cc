@@ -16,6 +16,7 @@ CompiledBayesNet::CompiledBayesNet(const BayesianNetwork& net)
     : net_(net), encoding_(net) {
   DdnnfCompiler compiler;
   root_ = compiler.Compile(encoding_.cnf(), mgr_);
+  TBC_CHECK(PrepareQueries(Guard::Unlimited()).ok());
 }
 
 CompiledBayesNet::CompiledBayesNet(const BayesianNetwork& net, DeferCompileTag)
@@ -29,7 +30,19 @@ Result<CompiledBayesNet> CompiledBayesNet::CompileBounded(
   TBC_ASSIGN_OR_RETURN(
       compiled.root_,
       compiler.CompileBounded(compiled.encoding_.cnf(), compiled.mgr_, guard));
+  TBC_RETURN_IF_ERROR(compiled.PrepareQueries(guard));
   return compiled;
+}
+
+Status CompiledBayesNet::PrepareQueries(Guard& guard) {
+  // Smoothing can widen the manager's variable range, which stales every
+  // varset, so the plans are warmed after it.
+  TBC_ASSIGN_OR_RETURN(
+      smooth_root_,
+      SmoothBounded(mgr_, root_, encoding_.weights().num_vars(), guard));
+  mgr_.EvalPlanCached(root_);
+  mgr_.EvalPlanCached(smooth_root_);
+  return Status::Ok();
 }
 
 double CompiledBayesNet::ProbEvidence(const BnInstantiation& evidence) {
@@ -40,10 +53,8 @@ Result<std::vector<double>> CompiledBayesNet::ProbEvidenceBatch(
     const std::vector<BnInstantiation>& evidence, Guard& guard,
     ThreadPool* pool) {
   TBC_RETURN_IF_ERROR(guard.Check());
-  // Warm the var-set and schedule caches once: afterwards every WMC pass
-  // only reads the manager, so concurrent lanes are race-free.
-  mgr_.VarSet(root_);
-  mgr_.ScheduleCached(root_);
+  // Construction warmed root_'s var-set and plan caches, so every WMC pass
+  // only reads the manager and concurrent lanes are race-free.
   std::vector<double> out(evidence.size(), 0.0);
   const std::function<void(size_t)> body = [&](size_t i) {
     const Result<double> r =
@@ -104,7 +115,8 @@ Result<double> CompiledBayesNet::PosteriorChecked(
 std::vector<std::vector<double>> CompiledBayesNet::AllMarginals(
     const BnInstantiation& evidence) {
   const WeightMap w = encoding_.WeightsWithEvidence(evidence);
-  const std::vector<double> lit_marginals = MarginalWmc(mgr_, root_, w);
+  const std::vector<double> lit_marginals = std::move(
+      MarginalWmcBounded(mgr_, smooth_root_, w, Guard::Unlimited()).value());
   std::vector<std::vector<double>> out(net_.num_vars());
   for (BnVar v = 0; v < net_.num_vars(); ++v) {
     out[v].resize(net_.cardinality(v));

@@ -59,8 +59,8 @@ class CompiledBayesNet {
   Result<double> PosteriorChecked(BnVar v, int value,
                                   const BnInstantiation& evidence);
 
-  /// All marginals Pr(v = x, evidence) in one differential pass;
-  /// result[v][x].
+  /// All marginals Pr(v = x, evidence) in one differential pass over the
+  /// smoothed root kept from construction; result[v][x].
   std::vector<std::vector<double>> AllMarginals(const BnInstantiation& evidence);
 
   struct MpeOutcome {
@@ -98,11 +98,17 @@ class CompiledBayesNet {
   // runs it under a guard and fills root_ itself).
   struct DeferCompileTag {};
   CompiledBayesNet(const BayesianNetwork& net, DeferCompileTag);
+  // Smooths root_ for AllMarginals and warms both roots' evaluation plans,
+  // once per compile, under `guard` (smoothing a wide circuit is costly).
+  // No query adds nodes afterwards, so the caches stay warm and queries
+  // only read mgr_.
+  Status PrepareQueries(Guard& guard);
 
   const BayesianNetwork& net_;
   WmcEncoding encoding_;
   NnfManager mgr_;
   NnfId root_;
+  NnfId smooth_root_ = kInvalidNnf;  // root_ smoothed over every indicator
 };
 
 }  // namespace tbc

@@ -246,6 +246,35 @@ class NnfManager {
   size_t num_vars_ = 0;
 };
 
+/// The NNF export of one decision-diagram root, kept by the SDD and OBDD
+/// managers so repeated queries on that root evaluate a circuit that is
+/// already built: the owned NnfManager also caches the root's EvalPlan and
+/// count memo, so a warm query is one upward pass. One slot: a query on
+/// another root drops the held export and re-exports into a fresh manager.
+/// The owner clears it whenever its node ids stop denoting the exported
+/// structure.
+class NnfExportSlot {
+ public:
+  /// The export of `diagram`'s node `id`, built by diagram.ToNnf on a miss.
+  template <typename Diagram>
+  std::pair<NnfManager*, NnfId> Get(const Diagram& diagram, uint32_t id) {
+    if (nnf_ == nullptr || id != id_) {
+      nnf_.reset();  // at most one export alive, also while re-exporting
+      auto fresh = std::make_unique<NnfManager>();
+      root_ = diagram.ToNnf(id, *fresh);
+      nnf_ = std::move(fresh);
+      id_ = id;
+    }
+    return {nnf_.get(), root_};
+  }
+  void Clear() { nnf_.reset(); }
+
+ private:
+  std::unique_ptr<NnfManager> nnf_;
+  uint32_t id_ = 0;
+  NnfId root_ = kInvalidNnf;
+};
+
 }  // namespace tbc
 
 #endif  // TBC_NNF_NNF_H_

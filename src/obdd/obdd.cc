@@ -219,8 +219,8 @@ BigUint ObddManager::ModelCount(ObddId f) {
 }
 
 double ObddManager::Wmc(ObddId f, const WeightMap& weights) {
-  NnfManager nnf;
-  return tbc::Wmc(nnf, ToNnf(f, nnf), weights);
+  const auto [nnf, root] = export_.Get(*this, f);
+  return tbc::Wmc(*nnf, root, weights);
 }
 
 void ObddManager::EnumerateModels(

@@ -79,8 +79,12 @@ class ObddManager {
   bool Evaluate(ObddId f, const Assignment& assignment) const;
   /// Exact number of models over all manager variables.
   BigUint ModelCount(ObddId f);
-  /// Weighted model count over the weight map's variables: ToNnf into a
-  /// scratch manager, then the log-space circuit evaluator (nnf/queries.h).
+  /// Weighted model count over the weight map's variables, by the log-space
+  /// circuit evaluator (nnf/queries.h) on f's NNF export. The last root
+  /// exported stays in a single-slot cache (NnfExportSlot) for the
+  /// manager's lifetime (one extra circuit copy), so repeated queries on
+  /// one root export once; a query on another root re-exports into the
+  /// slot. The manager is append-only, so the slot never invalidates.
   double Wmc(ObddId f, const WeightMap& weights);
   /// Invokes on_model for every model over all manager variables
   /// (test/analysis oracle; exponential output).
@@ -148,6 +152,7 @@ class ObddManager {
   std::vector<Node> nodes_;
   UniqueTable unique_;
   LossyCache<OpKey, ObddId> op_cache_;
+  NnfExportSlot export_;  // Wmc's cached ToNnf
 #if TBC_CERTIFY_TRACE_ON
   ObddTraceSink* trace_ = nullptr;
 #endif

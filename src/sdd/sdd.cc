@@ -347,6 +347,9 @@ void SddManager::AbortEdit(EditKind kind, VtreeId v, VtreeId child,
 }
 
 SddEditResult SddManager::Edit(EditKind kind, VtreeId v) {
+  // A committed edit rewrites elements and an aborted one truncates ids,
+  // so the held export may no longer be what its id denotes.
+  export_.Clear();
   SddEditResult res;
   if (interrupted_ || vtree_.IsLeaf(v)) return res;
   // Subtree roots, captured before the vtree mutates. Rotations move the
@@ -640,7 +643,7 @@ SddId SddManager::GarbageCollect(SddId root) {
   }
   const size_t fires = auto_minimize_fires_;
   Guard* const held = guard_;
-  *this = std::move(fresh);
+  *this = std::move(fresh);  // also empties the export slot: ids renumber
   guard_ = held;
   auto_minimize_fires_ = fires;
   last_minimized_live_ = live_node_count();
@@ -890,14 +893,13 @@ NnfId SddManager::ToNnf(SddId f, NnfManager& nnf) const {
 
 BigUint SddManager::ModelCount(SddId f) {
   if (f == False()) return BigUint(0);
-  NnfManager nnf;
-  const NnfId root = ToNnf(f, nnf);
-  return tbc::ModelCount(nnf, root, num_vars());
+  const auto [nnf, root] = export_.Get(*this, f);
+  return tbc::ModelCount(*nnf, root, num_vars());
 }
 
 double SddManager::Wmc(SddId f, const WeightMap& weights) {
-  NnfManager nnf;
-  return tbc::Wmc(nnf, ToNnf(f, nnf), weights);
+  const auto [nnf, root] = export_.Get(*this, f);
+  return tbc::Wmc(*nnf, root, weights);
 }
 
 }  // namespace tbc

@@ -117,8 +117,15 @@ class SddManager {
 
   /// Exact model count over all vtree variables.
   BigUint ModelCount(SddId f);
-  /// Weighted model count over the weight map's variables: ToNnf into a
-  /// scratch manager, then the log-space circuit evaluator (nnf/queries.h).
+  /// Weighted model count over the weight map's variables, by the log-space
+  /// circuit evaluator (nnf/queries.h) on f's NNF export.
+  ///
+  /// ModelCount and Wmc share one export slot (NnfExportSlot): the last
+  /// root they evaluated, exported with its EvalPlan, lives as long as the
+  /// manager (one extra circuit copy), so compile-then-query-many exports
+  /// once. A query on another root re-exports into the slot. In-place
+  /// edits (on entry, committed or aborted) and GarbageCollect clear it:
+  /// they rewrite, truncate or renumber node ids.
   double Wmc(SddId f, const WeightMap& weights);
 
   /// Exports as d-DNNF (structured decomposable, deterministic).
@@ -358,6 +365,7 @@ class SddManager {
   SddAutoMinimizeOptions auto_minimize_;
   size_t auto_minimize_fires_ = 0;
   size_t last_minimized_live_ = 0;
+  NnfExportSlot export_;  // ModelCount/Wmc's cached ToNnf
 };
 
 }  // namespace tbc

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <set>
@@ -211,6 +212,38 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param)) + "_f" +
              std::to_string(std::get<2>(info.param));
     });
+
+// ObddManager::Wmc keeps its last root's export: alternating roots, with
+// nodes added between queries, must each equal, bit for bit, a fresh
+// ToNnf evaluated in a new NnfManager.
+TEST(ObddExportCacheTest, AlternatingRootsAfterGrowthMatchFreshExports) {
+  const size_t n = 12;
+  ObddManager obdd(Vtree::IdentityOrder(n));
+  WeightMap w(n);
+  Rng rng(77);
+  for (Var v = 0; v < n; ++v) {
+    const double p = 0.05 + 0.9 * rng.Uniform();
+    w.Set(Pos(v), p);
+    w.Set(Neg(v), 1.0 - p);
+  }
+  const auto expect_fresh = [&](ObddId f, const char* where) {
+    NnfManager fresh;
+    const NnfId root = obdd.ToNnf(f, fresh);
+    EXPECT_EQ(std::bit_cast<uint64_t>(obdd.Wmc(f, w)),
+              std::bit_cast<uint64_t>(Wmc(fresh, root, w)))
+        << where;
+    EXPECT_EQ(obdd.ModelCount(f), ModelCount(fresh, root, n)) << where;
+  };
+  const ObddId f = obdd.CompileCnf(RandomCnf(n, 26, 3, 5));
+  expect_fresh(f, "f");
+  const ObddId g = obdd.CompileCnf(RandomCnf(n, 26, 3, 6));
+  ASSERT_NE(obdd.Wmc(f, w), obdd.Wmc(g, w));
+  expect_fresh(g, "g, compiled after f was exported");
+  expect_fresh(f, "f after g");
+  const ObddId h = obdd.Or(f, g);
+  expect_fresh(h, "f or g");
+  expect_fresh(f, "f after f or g");
+}
 
 }  // namespace
 }  // namespace tbc

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <set>
@@ -14,6 +15,7 @@
 #include "analysis/sdd_analyzer.h"
 #include "base/guard.h"
 #include "base/random.h"
+#include "nnf/queries.h"
 #include "sdd/compile.h"
 #include "sdd/io.h"
 #include "sdd/minimize.h"
@@ -326,6 +328,136 @@ TEST(SddGarbageCollectTest, ConstantRootResetsManager) {
   const SddId g = mgr.GarbageCollect(f);
   EXPECT_EQ(g, mgr.False());
   EXPECT_EQ(mgr.live_node_count(), 0u);
+}
+
+// ---- The export slot behind SddManager::ModelCount / Wmc ----
+//
+// Every query must equal, bit for bit, a fresh ToNnf into a new NnfManager
+// evaluated by the circuit queries: the slot may only ever save work.
+
+WeightMap RandomWeights(size_t num_vars, uint64_t seed) {
+  Rng rng(seed);
+  WeightMap w(num_vars);
+  for (Var v = 0; v < num_vars; ++v) {
+    const double p = 0.05 + 0.9 * rng.Uniform();
+    w.Set(Pos(v), p);
+    w.Set(Neg(v), 1.0 - p);
+  }
+  return w;
+}
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+// ModelCount, then Wmc under each weight map, against a fresh export.
+void ExpectMatchesFreshExport(SddManager& mgr, SddId f,
+                              const std::vector<WeightMap>& weights,
+                              const std::string& where) {
+  NnfManager fresh;
+  const NnfId root = mgr.ToNnf(f, fresh);
+  EXPECT_EQ(mgr.ModelCount(f), ModelCount(fresh, root, mgr.num_vars())) << where;
+  for (const WeightMap& w : weights) {
+    EXPECT_EQ(Bits(mgr.Wmc(f, w)), Bits(Wmc(fresh, root, w))) << where;
+  }
+}
+
+std::vector<WeightMap> WeightSweep(size_t num_vars) {
+  std::vector<WeightMap> out;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    out.push_back(RandomWeights(num_vars, seed));
+  }
+  return out;
+}
+
+TEST(SddExportCacheTest, AlternatingRootsMatchFreshExports) {
+  const size_t n = 14;
+  const std::vector<WeightMap> weights = WeightSweep(n);
+  SddManager mgr(Vtree::Balanced(Vtree::IdentityOrder(n)));
+  const SddId f = CompileCnf(mgr, RandomCnf(n, 30, 3, 101));
+  const SddId g = CompileCnf(mgr, RandomCnf(n, 30, 3, 202));
+  ASSERT_NE(Bits(mgr.Wmc(f, weights[0])), Bits(mgr.Wmc(g, weights[0])));
+  ExpectMatchesFreshExport(mgr, f, weights, "f");
+  ExpectMatchesFreshExport(mgr, g, weights, "g after f");
+  ExpectMatchesFreshExport(mgr, f, weights, "f after g");
+  // A root created after the export is cached.
+  const SddId h = mgr.Conjoin(f, mgr.LiteralNode(Neg(3)));
+  ExpectMatchesFreshExport(mgr, h, weights, "new root h");
+  ExpectMatchesFreshExport(mgr, f, weights, "f after h");
+}
+
+// A committed edit rewrites partitions in place (and may reclaim the
+// root): the query through Resolve() must see the edited structure.
+TEST(SddExportCacheTest, CommittedEditsMatchFreshExports) {
+  const size_t n = 12;
+  const std::vector<WeightMap> weights = WeightSweep(n);
+  SddManager mgr(Vtree::Balanced(Vtree::IdentityOrder(n)));
+  const SddId f = CompileCnf(mgr, RandomCnf(n, 28, 3, 303));
+  ExpectMatchesFreshExport(mgr, f, weights, "before edits");
+  size_t rotated = 0, swapped = 0;
+  for (VtreeId v = 0; v < mgr.vtree().num_nodes(); ++v) {
+    if (mgr.RotateRightInPlace(v).applied) {
+      ++rotated;
+      ExpectMatchesFreshExport(mgr, mgr.Resolve(f), weights,
+                               "after rotate at " + std::to_string(v));
+    }
+    if (mgr.SwapChildrenInPlace(v).applied) {
+      ++swapped;
+      ExpectMatchesFreshExport(mgr, mgr.Resolve(f), weights,
+                               "after swap at " + std::to_string(v));
+    }
+  }
+  EXPECT_GT(rotated, 0u);
+  EXPECT_GT(swapped, 0u);
+}
+
+TEST(SddExportCacheTest, AbortedEditMatchesFreshExport) {
+  const size_t n = 12;
+  const std::vector<WeightMap> weights = WeightSweep(n);
+  SddManager mgr(Vtree::RightLinear(Vtree::IdentityOrder(n)));
+  const SddId f = CompileCnf(mgr, RandomCnf(n, 32, 3, 555));
+  ExpectMatchesFreshExport(mgr, f, weights, "before abort");
+  bool aborted = false;
+  for (VtreeId v = 0; v < mgr.vtree().num_nodes() && !aborted; ++v) {
+    Guard tight(Budget::NodeLimit(1));
+    mgr.set_guard(&tight);
+    const SddEditResult r = mgr.RotateLeftInPlace(v);
+    mgr.set_guard(nullptr);
+    mgr.ClearInterrupt();
+    aborted = r.aborted;
+    if (r.applied) {
+      ExpectMatchesFreshExport(mgr, mgr.Resolve(f), weights, "after rotate");
+    }
+  }
+  ASSERT_TRUE(aborted);
+  ExpectMatchesFreshExport(mgr, mgr.Resolve(f), weights, "after abort");
+  // Nodes created after the rollback reuse the truncated ids.
+  const SddId g = CompileCnf(mgr, RandomCnf(n, 20, 3, 556));
+  ExpectMatchesFreshExport(mgr, g, weights, "root built after abort");
+  ExpectMatchesFreshExport(mgr, mgr.Resolve(f), weights, "f after g");
+}
+
+// GarbageCollect renumbers ids: a new function built at the collected
+// root's old id must not be answered from the export held for that id.
+TEST(SddExportCacheTest, GarbageCollectedIdReusedByNewRoot) {
+  const size_t n = 14;
+  const std::vector<WeightMap> weights = WeightSweep(n);
+  SddManager mgr(Vtree::RightLinear(Vtree::IdentityOrder(n)));
+  const SddId old_id = CompileCnf(mgr, RandomCnf(n, 40, 3, 23));
+  ExpectMatchesFreshExport(mgr, old_id, weights, "before collect");
+  const double old_wmc = mgr.Wmc(old_id, weights[0]);
+  const SddId root = mgr.GarbageCollect(old_id);
+  ASSERT_LT(root, old_id);
+  // No query between the collect and the query at the old id: the slot
+  // still names old_id unless GarbageCollect dropped it.
+  for (uint64_t seed = 24; mgr.num_nodes() <= old_id && seed < 64; ++seed) {
+    CompileCnf(mgr, RandomCnf(n, 40, 3, seed));
+  }
+  ASSERT_GT(mgr.num_nodes(), old_id);
+  NnfManager fresh;
+  ASSERT_NE(Bits(Wmc(fresh, mgr.ToNnf(old_id, fresh), weights[0])),
+            Bits(old_wmc))
+      << "the reused id should denote a different function";
+  ExpectMatchesFreshExport(mgr, old_id, weights, "new root at the old id");
+  ExpectMatchesFreshExport(mgr, root, weights, "collected root");
 }
 
 }  // namespace
